@@ -15,21 +15,31 @@
 //! states. Per-lane control state (the adversary with its RNG stream, the
 //! convergence report, the traffic statistics) lives in one flat `Vec` of
 //! lane records. All lanes share a single round scratch — one
-//! [`RoundFaultPlan`], one outbox array, one packed delivery-row arena, one
-//! sort buffer — because the scratch is fully overwritten per lane per
-//! round; only the RNG streams and the accumulated per-lane results differ.
+//! [`RoundFaultPlan`], one outbox array, one [`DeliveryRows`] arena — because
+//! the scratch is fully overwritten per lane per round; only the RNG
+//! streams and the accumulated per-lane results differ.
+//!
+//! # Sort once, mask per receiver
+//!
+//! Both lockstep loops classify each round's senders into [`LaneSend`]s:
+//! *broadcasters* (one value for every receiver), *silent* processes, and
+//! at most `2f` senders with genuinely per-receiver outboxes (adversary
+//! outboxes, Sasaki's poisoned queues). Broadcasters never materialize an
+//! outbox. [`DeliveryRows`] sorts the broadcast values **once per lane
+//! round**, and every computing receiver's row is that sorted buffer
+//! filtered to the broadcasts it received, merged with its few other
+//! values — so rows leave the exchange already sorted, and the k-wide
+//! [`mbaa_msr::MsrFunction::apply_sorted_lanes`] folds `mean(Sel(Red(N)))`
+//! over all receivers of a lane in one pass. Because every `Value`
+//! constructor maps `-0.0` to `+0.0`, tied values are bit-identical and the
+//! filtered rows equal per-row sorts bit for bit. Row assembly is timed in
+//! [`Phase::Exchange`]; [`Phase::MsrApply`] is the fold alone.
 //!
 //! On the **complete-topology fast path** (no schedule, clean link-fault
-//! plan — the configuration every paper table sweeps) the engine never
-//! materializes outboxes or delivery rows for well-behaved senders at all:
-//! each round classifies senders into *broadcasters* (one shared, sorted
-//! value buffer per lane-round), *silent* processes, and at most `2f`
-//! *special* senders with genuinely per-receiver outboxes. Each receiver's
-//! multiset is then the sorted common buffer merged with its few special
-//! slots, and the k-wide [`mbaa_msr::MsrFunction::apply_sorted_lanes`] folds
-//! `mean(Sel(Red(N)))` over all receivers of a lane in one pass. This
-//! replaces `n` sorts and `2 n²` slot writes per lane-round with one sort
-//! and `n` linear merges.
+//! plan — the configuration every paper table sweeps) every broadcast
+//! reaches every receiver, so a row is a copy of the sorted buffer merged
+//! with the receiver's special slots, and traffic statistics are accounted
+//! in closed form.
 //!
 //! On the **general path** (partial topologies, schedules, link faults) the
 //! lanes of each distinct network *description* share one
@@ -37,13 +47,10 @@
 //! compiled fault matrices, and per-phase connectivity are built once per
 //! batch instead of once per lane, and each lane keeps only a tiny
 //! [`mbaa_net::LaneDelivery`] (its seed-keyed churn/omission draw streams
-//! and delay pipes). Each lane round classifies senders into
-//! [`LaneSend`]s — broadcasters never materialize an outbox — and the
-//! exchange collects each active receiver's values directly into packed
-//! [`DeliveryRows`], which feed the same k-wide MSR fold as the fast path.
-//! Descriptions that realize per seed ([`Topology::RandomRegular`]
-//! anywhere) fall back to one scalar network per lane inside the same
-//! lockstep loop.
+//! and delay pipes). [`SharedRealization::exchange_rows`] delivers and
+//! accounts every slot and assembles the rows. Descriptions that realize
+//! per seed ([`Topology::RandomRegular`] anywhere) fall back to one scalar
+//! network per lane inside the same lockstep loop.
 //!
 //! # Batch vs. scalar selection
 //!
@@ -73,7 +80,7 @@
 //! seeds from the next compatible point instead of running it under-full.
 
 use mbaa_adversary::{AdversaryView, MobileAdversary, RoundFaultPlan};
-use mbaa_msr::{ConvergenceReport, VotingFunction};
+use mbaa_msr::{ConvergenceReport, MsrFunction, VotingFunction};
 use mbaa_net::{
     DeliveryRows, LaneDelivery, LaneSend, NetworkStats, NetworkTrace, Outbox, SharedRealization,
     SyncNetwork, Topology, TopologySchedule,
@@ -591,10 +598,10 @@ fn collect<O: Observer>(
 /// lane of the group exchanges against it, carrying only its own draw
 /// streams and delay pipes. Broadcasting senders are classified into
 /// [`LaneSend`]s instead of materializing `n`-slot outboxes, and delivered
-/// values land directly in packed [`DeliveryRows`] feeding the k-wide MSR
-/// fold. Descriptions that realize per seed fall back to one scalar
-/// network per lane inside the same lockstep loop. Either way, per-lane
-/// results are bit-identical to the scalar engine by construction.
+/// values land directly in packed, already sorted [`DeliveryRows`] feeding
+/// the k-wide MSR fold. Descriptions that realize per seed fall back to one
+/// scalar network per lane inside the same lockstep loop. Either way,
+/// per-lane results are bit-identical to the scalar engine by construction.
 fn run_general<O: Observer>(
     specs: &[LaneSpec<'_>],
     observer: &mut O,
@@ -683,34 +690,25 @@ fn run_general<O: Observer>(
                 // outboxes, poisoned queues) fill their scratch outbox.
                 observer.phase_start(Phase::Exchange);
                 for (i, &vote) in votes_l.iter().enumerate() {
-                    let p = ProcessId::new(i);
-                    sends[i] = if plan.faulty.contains(p) {
-                        fill_outbox(cfg.model, &mut outboxes[i], p, &plan, votes_l);
-                        LaneSend::PerReceiver(i)
-                    } else if plan.cured.contains(p) {
-                        match cfg.model {
-                            MobileModel::Garay => LaneSend::Silent,
-                            MobileModel::Bonnet => LaneSend::Broadcast(vote),
-                            MobileModel::Sasaki => {
-                                fill_outbox(cfg.model, &mut outboxes[i], p, &plan, votes_l);
-                                LaneSend::PerReceiver(i)
-                            }
-                            MobileModel::Buhrman => {
-                                unreachable!("Buhrman's model has no cured senders")
-                            }
-                        }
-                    } else {
-                        LaneSend::Broadcast(vote)
-                    };
+                    sends[i] = classify_send(cfg.model, &plan, i, vote);
+                    if let LaneSend::PerReceiver(_) = sends[i] {
+                        fill_outbox(
+                            cfg.model,
+                            &mut outboxes[i],
+                            ProcessId::new(i),
+                            &plan,
+                            votes_l,
+                        );
+                    }
                 }
                 for (i, state) in states_l.iter().enumerate() {
                     active[i] = state.is_non_faulty() || compute_even_if_faulty;
                 }
 
-                // Receive phase, straight into the packed row arena. A
-                // network error (e.g. a rejected disconnected round) fails
-                // this lane exactly as it fails a scalar run — other lanes
-                // (and the shared structure) are unaffected.
+                // Receive phase, straight into sorted rows in the packed
+                // arena. A network error (e.g. a rejected disconnected
+                // round) fails this lane exactly as it fails a scalar run —
+                // other lanes (and the shared structure) are unaffected.
                 let shared = groups[ls.group]
                     .realization
                     .as_mut()
@@ -732,60 +730,26 @@ fn run_general<O: Observer>(
                 }
                 observer.phase_end(Phase::Exchange);
 
-                // Compute phase: sort each receiver's row in place (the
-                // same unstable sort the scalar multiset refill performs)
-                // and fold — one k-wide MSR call when every row has the
-                // same width, per-row applies otherwise.
+                // Compute phase: the rows arrive sorted; fold them.
                 observer.phase_start(Phase::MsrApply);
-                for row in 0..rows.rows() {
-                    rows.row_mut(row).sort_unstable();
-                }
-                if let Some(lane_len) = rows.uniform_len() {
-                    cfg.function.apply_sorted_lanes(
-                        rows.flat(),
-                        lane_len,
-                        &mut lane_votes[..rows.rows()],
-                    );
-                } else {
-                    for (row, vote) in lane_votes[..rows.rows()].iter_mut().enumerate() {
-                        *vote = cfg.function.apply_sorted(rows.row(row));
-                    }
-                }
-                for row in 0..rows.rows() {
-                    if let Some(next) = lane_votes[row] {
-                        votes_l[rows.receiver(row)] = next;
-                    }
-                }
+                fold_rows(&cfg.function, &rows, &mut lane_votes, votes_l);
                 observer.phase_end(Phase::MsrApply);
 
                 observer.phase_start(Phase::Record);
                 let diameter = finish_lane_round(cfg, ls, round_idx, votes_l, states_l);
                 if telemetry {
                     let stats = ls.stats;
-                    let width = match rows.min_len() {
-                        Some(len) => cfg.function.reduced_width(len),
-                        None => 0,
-                    };
-                    observer.on_round(&RoundEvent {
-                        seed: spec.seed,
-                        round: round_idx as u64,
+                    emit_round(
+                        observer,
+                        cfg,
+                        spec.seed,
+                        ls,
+                        &plan,
+                        round_idx,
                         diameter,
-                        contraction: if ls.prev_diameter > 0.0 {
-                            diameter / ls.prev_diameter
-                        } else {
-                            1.0
-                        },
-                        faulty: plan.faulty.len() as u32,
-                        cured: plan.cured.len() as u32,
-                        corrupted: ls.corrupted_last,
-                        delivered: stats.messages_delivered - ls.prev_stats.messages_delivered,
-                        omissions: stats.omissions - ls.prev_stats.omissions,
-                        link_omissions: stats.link_omissions - ls.prev_stats.link_omissions,
-                        msr_width: width as u32,
-                    });
-                    ls.prev_stats = stats;
-                    ls.prev_diameter = diameter;
-                    ls.corruptions += u64::from(ls.corrupted_last);
+                        stats,
+                        rows.min_len(),
+                    );
                 }
                 observer.phase_end(Phase::Record);
             } else {
@@ -827,31 +791,10 @@ fn run_general<O: Observer>(
                         .as_ref()
                         .expect("fallback lanes carry a network")
                         .stats();
-                    let width = if min_multiset == usize::MAX {
-                        0
-                    } else {
-                        cfg.function.reduced_width(min_multiset)
-                    };
-                    observer.on_round(&RoundEvent {
-                        seed: spec.seed,
-                        round: round_idx as u64,
-                        diameter,
-                        contraction: if ls.prev_diameter > 0.0 {
-                            diameter / ls.prev_diameter
-                        } else {
-                            1.0
-                        },
-                        faulty: plan.faulty.len() as u32,
-                        cured: plan.cured.len() as u32,
-                        corrupted: ls.corrupted_last,
-                        delivered: stats.messages_delivered - ls.prev_stats.messages_delivered,
-                        omissions: stats.omissions - ls.prev_stats.omissions,
-                        link_omissions: stats.link_omissions - ls.prev_stats.link_omissions,
-                        msr_width: width as u32,
-                    });
-                    ls.prev_stats = stats;
-                    ls.prev_diameter = diameter;
-                    ls.corruptions += u64::from(ls.corrupted_last);
+                    let min_row = (min_multiset != usize::MAX).then_some(min_multiset);
+                    emit_round(
+                        observer, cfg, spec.seed, ls, &plan, round_idx, diameter, stats, min_row,
+                    );
                 }
                 observer.phase_end(Phase::Record);
             }
@@ -865,12 +808,12 @@ fn run_general<O: Observer>(
 }
 
 /// The complete-topology fast path: no schedule, clean links. Senders
-/// classify into broadcasters (one shared sorted buffer), silent
-/// processes, and ≤ 2f "special" senders with per-receiver outboxes;
-/// each receiver's multiset is the common buffer merged with its
-/// special slots, folded by the k-wide MSR apply. No outboxes are
-/// filled and no delivery matrix exists — traffic statistics are
-/// accounted in closed form, matching the scalar network's counters
+/// classify into broadcasters, silent processes, and ≤ 2f "special"
+/// senders with per-receiver outboxes; every active receiver's row is the
+/// round's once-sorted broadcast buffer merged with its special slots
+/// ([`DeliveryRows::push_full_row`]), folded by the k-wide MSR apply. No
+/// outboxes are filled and no delivery matrix exists — traffic statistics
+/// are accounted in closed form, matching the scalar network's counters
 /// exactly.
 fn run_fast<O: Observer>(
     specs: &[LaneSpec<'_>],
@@ -883,16 +826,12 @@ fn run_fast<O: Observer>(
     let mut plan = RoundFaultPlan::empty(n);
     let mut received = ValueMultiset::with_capacity(n);
 
-    // Fast-path scratch, shared across lanes and rounds. `merged` is
-    // written with index arithmetic into pre-sized rows (never grown),
-    // so the whole loop below stays free of allocating idioms.
-    let mut common: Vec<Value> = vec![Value::new(0.0); n];
-    let mut extra: Vec<Value> = vec![Value::new(0.0); n];
+    // Fast-path scratch, shared across lanes and rounds and written by
+    // index into pre-sized buffers (never grown), so the whole loop below
+    // stays free of allocating idioms.
+    let mut sends: Vec<LaneSend> = vec![LaneSend::Silent; n];
     let mut specials: Vec<usize> = vec![0; n];
-    let mut merged: Vec<Value> = vec![Value::new(0.0); n * n];
-    let mut active: Vec<usize> = vec![0; n];
-    let mut row_offsets: Vec<usize> = vec![0; n];
-    let mut row_lens: Vec<usize> = vec![0; n];
+    let mut rows = DeliveryRows::new(n);
     let mut lane_votes: Vec<Option<Value>> = vec![None; n];
     let max_rounds = specs.iter().map(|s| s.cfg.max_rounds).max().unwrap_or(0);
 
@@ -926,45 +865,28 @@ fn run_fast<O: Observer>(
             }
             let compute_even_if_faulty = cfg.model.agents_move_with_messages();
 
-            // Send-phase classification. A non-faulty, non-cured
-            // process broadcasts its vote; cured behaviour is the
-            // model's (Garay silent, Bonnet broadcast, Sasaki poisoned
-            // queue); faulty senders use the adversary's outbox.
+            // Send phase: classify senders; the special ones keep their
+            // outboxes in the plan.
             observer.phase_start(Phase::Exchange);
-            let mut common_len = 0;
+            let mut broadcasts = 0;
             let mut specials_len = 0;
             for (i, &vote) in votes_l.iter().enumerate() {
-                let p = ProcessId::new(i);
-                if plan.faulty.contains(p) {
-                    specials[specials_len] = i;
-                    specials_len += 1;
-                } else if plan.cured.contains(p) {
-                    match cfg.model {
-                        MobileModel::Garay => {}
-                        MobileModel::Bonnet => {
-                            common[common_len] = vote;
-                            common_len += 1;
-                        }
-                        MobileModel::Sasaki => {
-                            specials[specials_len] = i;
-                            specials_len += 1;
-                        }
-                        MobileModel::Buhrman => {
-                            unreachable!("Buhrman's model has no cured senders")
-                        }
+                sends[i] = classify_send(cfg.model, &plan, i, vote);
+                match sends[i] {
+                    LaneSend::Broadcast(_) => broadcasts += 1,
+                    LaneSend::Silent => {}
+                    LaneSend::PerReceiver(_) => {
+                        specials[specials_len] = i;
+                        specials_len += 1;
                     }
-                } else {
-                    common[common_len] = vote;
-                    common_len += 1;
                 }
             }
-            common[..common_len].sort_unstable();
 
             // Closed-form traffic accounting: a broadcast delivers to
             // all n receivers, a special outbox to its Some slots, and
             // every other reachable slot is a sender omission — the
             // unmasked complete graph has no structural drops.
-            let mut delivered = (common_len * n) as u64;
+            let mut delivered = (broadcasts * n) as u64;
             for &s in &specials[..specials_len] {
                 delivered += special_outbox(&plan, s)
                     .iter()
@@ -974,97 +896,43 @@ fn run_fast<O: Observer>(
             ls.stats.rounds += 1;
             ls.stats.messages_delivered += delivered;
             ls.stats.omissions += (n * n) as u64 - delivered;
-            observer.phase_end(Phase::Exchange);
 
-            // Compute phase: each active receiver's multiset is the
-            // common buffer merged with its special slots, ascending —
-            // the same sorted array the scalar multiset refill
-            // produces. Rows are packed back to back in `merged`; when
-            // every row has the same width the k-wide MSR fold handles
-            // the whole lane in one call.
-            observer.phase_start(Phase::MsrApply);
-            let mut rows = 0;
-            let mut total = 0;
-            let mut uniform = true;
+            // Row assembly: each active receiver gets every broadcast
+            // plus its special slots, already in ascending order.
+            rows.sort_broadcasts(&sends);
             for (r, state) in states_l.iter().enumerate() {
                 if !(state.is_non_faulty() || compute_even_if_faulty) {
                     continue;
                 }
                 let receiver = ProcessId::new(r);
-                let mut extra_len = 0;
                 for &s in &specials[..specials_len] {
                     if let Some(v) = special_outbox(&plan, s).get(receiver) {
-                        extra[extra_len] = v;
-                        extra_len += 1;
+                        rows.deliver_extra(v);
                     }
                 }
-                extra[..extra_len].sort_unstable();
-                merge_sorted(
-                    &common[..common_len],
-                    &extra[..extra_len],
-                    &mut merged[total..total + common_len + extra_len],
-                );
-                let row_len = common_len + extra_len;
-                if rows > 0 && row_len != row_lens[0] {
-                    uniform = false;
-                }
-                active[rows] = r;
-                row_offsets[rows] = total;
-                row_lens[rows] = row_len;
-                rows += 1;
-                total += row_len;
+                rows.push_full_row(r);
             }
-            if uniform && rows > 0 {
-                cfg.function.apply_sorted_lanes(
-                    &merged[..total],
-                    row_lens[0],
-                    &mut lane_votes[..rows],
-                );
-            } else {
-                for row in 0..rows {
-                    lane_votes[row] = cfg
-                        .function
-                        .apply_sorted(&merged[row_offsets[row]..row_offsets[row] + row_lens[row]]);
-                }
-            }
-            for row in 0..rows {
-                if let Some(next) = lane_votes[row] {
-                    votes_l[active[row]] = next;
-                }
-            }
+            observer.phase_end(Phase::Exchange);
+
+            observer.phase_start(Phase::MsrApply);
+            fold_rows(&cfg.function, &rows, &mut lane_votes, votes_l);
             observer.phase_end(Phase::MsrApply);
 
             observer.phase_start(Phase::Record);
             let diameter = finish_lane_round(cfg, ls, round_idx, votes_l, states_l);
             if telemetry {
-                // The closed-form accounting above already yields the
-                // per-round traffic: the unmasked complete graph has no
-                // link faults, so every non-delivered slot is a sender
-                // omission.
-                let min_row = row_lens[..rows].iter().copied().min();
-                let width = match min_row {
-                    Some(len) => cfg.function.reduced_width(len),
-                    None => 0,
-                };
-                observer.on_round(&RoundEvent {
-                    seed: spec.seed,
-                    round: round_idx as u64,
+                let stats = ls.stats;
+                emit_round(
+                    observer,
+                    cfg,
+                    spec.seed,
+                    ls,
+                    &plan,
+                    round_idx,
                     diameter,
-                    contraction: if ls.prev_diameter > 0.0 {
-                        diameter / ls.prev_diameter
-                    } else {
-                        1.0
-                    },
-                    faulty: plan.faulty.len() as u32,
-                    cured: plan.cured.len() as u32,
-                    corrupted: ls.corrupted_last,
-                    delivered,
-                    omissions: (n * n) as u64 - delivered,
-                    link_omissions: 0,
-                    msr_width: width as u32,
-                });
-                ls.prev_diameter = diameter;
-                ls.corruptions += u64::from(ls.corrupted_last);
+                    stats,
+                    rows.min_len(),
+                );
             }
             observer.phase_end(Phase::Record);
         }
@@ -1074,6 +942,27 @@ fn run_fast<O: Observer>(
     }
 
     collect(specs, &votes, &states, lane_states, observer)
+}
+
+/// The send-phase classification of process `i` shared by both batch
+/// paths — what [`fill_outbox`] would write, without writing it: a
+/// non-faulty, non-cured process broadcasts its vote; a cured one behaves
+/// per the model (Garay silent, Bonnet broadcast, Sasaki poisoned queue);
+/// a faulty one uses the adversary's per-receiver outbox.
+fn classify_send(model: MobileModel, plan: &RoundFaultPlan, i: usize, vote: Value) -> LaneSend {
+    let p = ProcessId::new(i);
+    if plan.faulty.contains(p) {
+        LaneSend::PerReceiver(i)
+    } else if plan.cured.contains(p) {
+        match model {
+            MobileModel::Garay => LaneSend::Silent,
+            MobileModel::Bonnet => LaneSend::Broadcast(vote),
+            MobileModel::Sasaki => LaneSend::PerReceiver(i),
+            MobileModel::Buhrman => unreachable!("Buhrman's model has no cured senders"),
+        }
+    } else {
+        LaneSend::Broadcast(vote)
+    }
 }
 
 /// The per-receiver outbox of a "special" sender on the fast path: the
@@ -1091,23 +980,69 @@ fn special_outbox(plan: &RoundFaultPlan, i: usize) -> &Outbox {
     }
 }
 
-/// Merges two ascending slices into `out` (exactly `a.len() + b.len()`
-/// long), preserving order — the classic two-pointer merge, allocation
-/// free.
+/// The compute phase over one lane round's sorted rows: one k-wide MSR
+/// fold when every row has the same width, per-row applies otherwise; each
+/// computed vote lands on its receiver.
 // mbaa: alloc-free
-fn merge_sorted(a: &[Value], b: &[Value], out: &mut [Value]) {
-    debug_assert_eq!(out.len(), a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    for slot in out.iter_mut() {
-        let take_a = j >= b.len() || (i < a.len() && a[i] <= b[j]);
-        if take_a {
-            *slot = a[i];
-            i += 1;
-        } else {
-            *slot = b[j];
-            j += 1;
+fn fold_rows(
+    function: &MsrFunction,
+    rows: &DeliveryRows,
+    lane_votes: &mut [Option<Value>],
+    votes: &mut [Value],
+) {
+    let lane_votes = &mut lane_votes[..rows.rows()];
+    if let Some(lane_len) = rows.uniform_len() {
+        function.apply_sorted_lanes(rows.flat(), lane_len, lane_votes);
+    } else {
+        for (row, vote) in lane_votes.iter_mut().enumerate() {
+            *vote = function.apply_sorted(rows.row(row));
         }
     }
+    for (row, vote) in lane_votes.iter().enumerate() {
+        if let Some(next) = *vote {
+            votes[rows.receiver(row)] = next;
+        }
+    }
+}
+
+/// Emits one lane round's telemetry event and advances the lane's
+/// telemetry bookkeeping. `stats` is the lane's cumulative traffic after
+/// the round (the event carries its delta since the previous round) and
+/// `min_row` the round's smallest multiset, `None` when no receiver
+/// computed.
+#[allow(clippy::too_many_arguments)]
+fn emit_round<O: Observer>(
+    observer: &mut O,
+    cfg: &ProtocolConfig,
+    seed: u64,
+    ls: &mut LaneState,
+    plan: &RoundFaultPlan,
+    round_idx: usize,
+    diameter: f64,
+    stats: NetworkStats,
+    min_row: Option<usize>,
+) {
+    let width = min_row.map_or(0, |len| cfg.function.reduced_width(len));
+    observer.on_round(&RoundEvent {
+        seed,
+        round: round_idx as u64,
+        diameter,
+        contraction: if ls.prev_diameter > 0.0 {
+            diameter / ls.prev_diameter
+        } else {
+            1.0
+        },
+        faulty: plan.faulty.len() as u32,
+        cured: plan.cured.len() as u32,
+        corrupted: ls.corrupted_last,
+        delivered: stats.messages_delivered - ls.prev_stats.messages_delivered,
+        omissions: stats.omissions - ls.prev_stats.omissions,
+        link_omissions: stats.link_omissions - ls.prev_stats.link_omissions,
+        msr_width: width as u32,
+    });
+    ls.prev_stats = stats;
+    ls.prev_diameter = diameter;
+    ls.corruptions += u64::from(ls.corrupted_last);
 }
 
 #[cfg(test)]

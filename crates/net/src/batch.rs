@@ -10,28 +10,33 @@
 //! the only part that costs per-round allocations on the churn path.
 //!
 //! [`SharedRealization`] splits the bundle: it holds the seed-independent
-//! structure once per batch (adjacency, closed-neighbourhood lists, compiled
-//! fault matrices, per-phase connectivity) plus reusable round scratch,
+//! structure once per batch (closed-neighbourhood lists, compiled fault
+//! matrices, per-phase connectivity) plus reusable round scratch,
 //! while each lane carries only a tiny [`LaneDelivery`] (seed, round
 //! cursor, delay pipes when the plan needs them). A lane round is served by
 //! [`SharedRealization::exchange_rows`], which classifies and accounts
 //! every slot exactly as the scalar exchange would — same statistics
 //! counters, same omission/churn draw streams, same delay buffering — but
-//! collects each active receiver's delivered values directly into packed
-//! [`DeliveryRows`] instead of an `n × n` slot matrix, skipping the
+//! assembles each active receiver's delivered values, already sorted, into
+//! packed [`DeliveryRows`] instead of an `n × n` slot matrix, skipping the
 //! quadratic outbox materialization for broadcasting senders via
-//! [`LaneSend`] classification.
+//! [`LaneSend`] classification. The round's broadcast values are sorted
+//! once; a receiver's row marks the ranks it received in a bitset and
+//! merges in its few other values (see [`DeliveryRows`]).
 //!
 //! Only *seed-invariant* descriptions are shareable: a
 //! [`Topology::RandomRegular`] realizes differently per lane seed, so
 //! [`SharedRealization::try_build`] refuses it (anywhere — as the static
 //! graph, a periodic phase, or a churn base) and the engine falls back to
 //! one scalar network per lane. Seeded churn *is* shareable: the base graph
-//! is realized once and the per-`(seed, round, link)` down-draws are
-//! replayed per lane against the crate-internal draw primitive, so the
-//! realized per-round graphs match the scalar path bit for bit.
+//! is realized once into neighbour lists, and the per-`(seed, round, link)`
+//! down-draws are replayed per lane over the base's edges against the
+//! crate-internal draw primitive, so the realized per-round graphs match
+//! the scalar path bit for bit; the round's connectivity check and
+//! delivery walk the same lists.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use mbaa_types::{Error, ProcessId, Result, Round, Value};
 
@@ -75,13 +80,26 @@ impl LaneSend {
     }
 }
 
-/// Packed per-receiver delivery rows of one lane round: row `i` holds the
-/// values delivered to the `i`-th *active* receiver, back to back in one
-/// flat buffer sized once at `n²`.
+/// Packed per-receiver delivery rows of one lane round, assembled already
+/// sorted: row `i` holds the values delivered to the `i`-th *active*
+/// receiver, ascending, back to back in one flat buffer sized once at `n²`.
 ///
-/// Rows are collected in receiver order, each in ascending-sender order;
-/// the engine sorts each row in place and, when every row has the same
-/// width, feeds the whole flat buffer to the k-wide MSR fold in one call.
+/// A lane round sorts its broadcasting senders' values **once**:
+/// `sorted[pos]` holds them ascending and `rank[sender]` is each
+/// broadcaster's position. A receiver's row is that buffer filtered by the
+/// broadcasts the receiver actually got — one bit per rank in an
+/// `n/64`-word bitset, walked in order — merged with its few other
+/// deliveries ("extras": per-receiver slots and delayed arrivals), which
+/// are sorted on their own. On the unmasked complete graph every row takes
+/// every broadcast, so [`DeliveryRows::push_full_row`] merges the whole
+/// buffer, without a bitset.
+///
+/// Every [`Value`] constructor maps `-0.0` to `+0.0`, so values that
+/// compare equal are bit-identical and a row assembled this way equals a
+/// per-row sort of the same multiset bit for bit.
+///
+/// When every row has the same width the engine feeds the whole flat
+/// buffer to the k-wide MSR fold in one call.
 #[derive(Debug)]
 pub struct DeliveryRows {
     merged: Vec<Value>,
@@ -91,6 +109,18 @@ pub struct DeliveryRows {
     rows: usize,
     total: usize,
     uniform: bool,
+    /// Sort scratch: `(value, sender)` of the round's broadcasters.
+    ranked: Vec<(Value, u32)>,
+    /// The round's broadcast values, ascending (`broadcasts` of them).
+    sorted: Vec<Value>,
+    broadcasts: usize,
+    /// `rank[sender]`: the position of a broadcaster's value in `sorted`.
+    rank: Vec<u32>,
+    /// The row being assembled: the ranks of its delivered broadcasts ...
+    bits: Vec<u64>,
+    /// ... and its other delivered values.
+    extras: Vec<Value>,
+    extras_len: usize,
 }
 
 impl DeliveryRows {
@@ -98,23 +128,116 @@ impl DeliveryRows {
     #[must_use]
     pub fn new(n: usize) -> Self {
         DeliveryRows {
-            merged: vec![Value::new(0.0); n * n],
+            merged: vec![Value::ZERO; n * n],
             receivers: vec![0; n],
             offsets: vec![0; n],
             lens: vec![0; n],
             rows: 0,
             total: 0,
             uniform: true,
+            ranked: vec![(Value::ZERO, 0); n],
+            sorted: vec![Value::ZERO; n],
+            broadcasts: 0,
+            rank: vec![0; n],
+            bits: vec![0; n.div_ceil(64)],
+            extras: vec![Value::ZERO; n],
+            extras_len: 0,
         }
     }
 
-    fn reset(&mut self) {
+    /// Starts a lane round: clears the arena and sorts the values of the
+    /// `Broadcast` senders in `sends` once, for every row of the round,
+    /// recording each broadcaster's rank.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sends` is longer than the universe.
+    // mbaa: alloc-free
+    pub fn sort_broadcasts(&mut self, sends: &[LaneSend]) {
+        self.clear();
+        let mut len = 0;
+        for (sender, send) in sends.iter().enumerate() {
+            if let LaneSend::Broadcast(value) = *send {
+                self.ranked[len] = (value, sender as u32);
+                len += 1;
+            }
+        }
+        let ranked = &mut self.ranked[..len];
+        ranked.sort_unstable_by_key(|&(value, _)| value);
+        for (pos, &(value, sender)) in ranked.iter().enumerate() {
+            self.sorted[pos] = value;
+            self.rank[sender as usize] = pos as u32;
+        }
+        self.broadcasts = len;
+    }
+
+    fn clear(&mut self) {
         self.rows = 0;
         self.total = 0;
         self.uniform = true;
     }
 
-    fn push_row(&mut self, receiver: usize, start: usize, len: usize) {
+    /// Adds `value`, delivered from `sender` this round, to the row being
+    /// assembled: a broadcast by its rank bit, anything else as an extra.
+    #[inline]
+    fn deliver(&mut self, send: LaneSend, sender: usize, value: Value) {
+        if let LaneSend::Broadcast(_) = send {
+            let pos = self.rank[sender] as usize;
+            self.bits[pos / 64] |= 1 << (pos % 64);
+        } else {
+            self.deliver_extra(value);
+        }
+    }
+
+    /// Adds a value that is not one of the round's ranked broadcasts — a
+    /// per-receiver slot or a delayed arrival — to the row being assembled.
+    #[inline]
+    pub fn deliver_extra(&mut self, value: Value) {
+        self.extras[self.extras_len] = value;
+        self.extras_len += 1;
+    }
+
+    /// Closes the row being assembled as `receiver`'s: the marked
+    /// broadcasts in rank order, merged in place with the sorted extras.
+    // mbaa: alloc-free
+    fn push_row(&mut self, receiver: usize) {
+        let start = self.total;
+        let mut len = 0;
+        for (w, word) in self.bits.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                self.merged[start + len] = self.sorted[w * 64 + bits.trailing_zeros() as usize];
+                len += 1;
+                bits &= bits - 1;
+            }
+        }
+        let extras = &mut self.extras[..self.extras_len];
+        extras.sort_unstable();
+        let len = len + extras.len();
+        merge_in_place(&mut self.merged[start..start + len], extras);
+        self.finish_row(receiver, start, len);
+    }
+
+    /// Closes the row being assembled as `receiver`'s, with **every**
+    /// broadcast of the round delivered (the unmasked complete graph): the
+    /// sorted buffer merged with the sorted extras.
+    // mbaa: alloc-free
+    pub fn push_full_row(&mut self, receiver: usize) {
+        let start = self.total;
+        let extras = &mut self.extras[..self.extras_len];
+        extras.sort_unstable();
+        let len = self.broadcasts + extras.len();
+        merge_sorted(
+            &self.sorted[..self.broadcasts],
+            extras,
+            &mut self.merged[start..start + len],
+        );
+        self.finish_row(receiver, start, len);
+    }
+
+    /// Records the row just written at `merged[start..start + len]`.
+    fn finish_row(&mut self, receiver: usize, start: usize, len: usize) {
+        self.extras_len = 0;
         if self.rows > 0 && len != self.lens[0] {
             self.uniform = false;
         }
@@ -137,16 +260,10 @@ impl DeliveryRows {
         self.receivers[row]
     }
 
-    /// The values delivered to the `row`-th active receiver.
+    /// The values delivered to the `row`-th active receiver, ascending.
     #[must_use]
     pub fn row(&self, row: usize) -> &[Value] {
         &self.merged[self.offsets[row]..self.offsets[row] + self.lens[row]]
-    }
-
-    /// Mutable form of [`DeliveryRows::row`] — the engine sorts each row in
-    /// place before applying the voting function.
-    pub fn row_mut(&mut self, row: usize) -> &mut [Value] {
-        &mut self.merged[self.offsets[row]..self.offsets[row] + self.lens[row]]
     }
 
     /// `Some(len)` when at least one row was collected and every row has
@@ -168,6 +285,43 @@ impl DeliveryRows {
     #[must_use]
     pub fn min_len(&self) -> Option<usize> {
         self.lens[..self.rows].iter().copied().min()
+    }
+}
+
+/// Merges two ascending slices into `out` (exactly `a.len() + b.len()`
+/// long) — the classic two-pointer merge. Ties take `a` first.
+// mbaa: alloc-free
+fn merge_sorted(a: &[Value], b: &[Value], out: &mut [Value]) {
+    debug_assert_eq!(out.len(), a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    for slot in out.iter_mut() {
+        let take_a = j >= b.len() || (i < a.len() && a[i] <= b[j]);
+        if take_a {
+            *slot = a[i];
+            i += 1;
+        } else {
+            *slot = b[j];
+            j += 1;
+        }
+    }
+}
+
+/// [`merge_sorted`] in place: merges the ascending `extras` into `row`,
+/// whose first `row.len() - extras.len()` values are ascending, running
+/// from the back so only the values above the smallest extra move. Ties
+/// keep the prefix value first.
+// mbaa: alloc-free
+fn merge_in_place(row: &mut [Value], extras: &[Value]) {
+    let mut i = row.len() - extras.len();
+    let mut j = extras.len();
+    while j > 0 {
+        if i > 0 && row[i - 1] > extras[j - 1] {
+            row[i + j - 1] = row[i - 1];
+            i -= 1;
+        } else {
+            row[i + j - 1] = extras[j - 1];
+            j -= 1;
+        }
     }
 }
 
@@ -220,8 +374,31 @@ impl StaticGraph {
         StaticGraph { neighbors, offsets }
     }
 
+    /// The indices into `neighbors` of receiver `r`'s list.
+    fn span(&self, r: usize) -> Range<usize> {
+        self.offsets[r] as usize..self.offsets[r + 1] as usize
+    }
+
     fn closed_neighborhood(&self, r: usize) -> &[u32] {
-        &self.neighbors[self.offsets[r] as usize..self.offsets[r + 1] as usize]
+        &self.neighbors[self.span(r)]
+    }
+
+    /// For a symmetric graph: `mirror[i]` is the index of the reverse
+    /// entry of list entry `i` (entry `b` in `a`'s list ↦ entry `a` in
+    /// `b`'s list).
+    fn mirrors(&self) -> Vec<u32> {
+        let mut mirror = vec![0; self.neighbors.len()];
+        for a in 0..self.offsets.len() - 1 {
+            for i in self.span(a) {
+                let b = self.neighbors[i] as usize;
+                let back = self
+                    .closed_neighborhood(b)
+                    .binary_search(&(a as u32))
+                    .expect("the graph is symmetric");
+                mirror[i] = (self.offsets[b] as usize + back) as u32;
+            }
+        }
+        mirror
     }
 }
 
@@ -229,22 +406,17 @@ impl StaticGraph {
 /// per batch instead of once per lane round.
 #[derive(Debug)]
 struct PhaseGraph {
-    adjacency: Adjacency,
     graph: StaticGraph,
     connected: bool,
     components: usize,
 }
 
 impl PhaseGraph {
-    fn new(adjacency: Adjacency) -> Self {
-        let graph = StaticGraph::new(&adjacency);
-        let connected = adjacency.is_connected();
-        let components = adjacency.component_count();
+    fn new(adjacency: &Adjacency) -> Self {
         PhaseGraph {
-            adjacency,
-            graph,
-            connected,
-            components,
+            graph: StaticGraph::new(adjacency),
+            connected: adjacency.is_connected(),
+            components: adjacency.component_count(),
         }
     }
 }
@@ -256,20 +428,28 @@ enum DynGraphs {
     /// single-phase case.
     Phases(Vec<PhaseGraph>),
     /// Round-indexed churn over a shared base; the per-`(seed, round,
-    /// link)` down-draws are replayed per lane.
-    Churn { base: Adjacency, flip_rate: f64 },
+    /// link)` down-draws are replayed per lane over the base's edges only.
+    /// `mirror` (see [`StaticGraph::mirrors`]) lets one draw switch both
+    /// list entries of an undirected link.
+    Churn {
+        base: StaticGraph,
+        mirror: Vec<u32>,
+        flip_rate: f64,
+    },
 }
 
-/// Reusable per-round scratch of the dynamic path (only the churn rule
-/// uses it): the round's realized link mask and the BFS state of its
-/// connectivity check. Shared across lanes — each lane round overwrites it
-/// completely.
+/// Reusable per-round scratch of the dynamic path, shared across lanes —
+/// each lane round overwrites it completely.
 #[derive(Debug)]
 struct DynScratch {
-    /// `mask[a * n + b]`: the churned round graph, diagonal always set.
-    mask: Vec<bool>,
+    /// Churn only: `up[i]` is whether base-list entry `i` is linked this
+    /// round (self-entries always are).
+    up: Vec<bool>,
+    /// Churn only: the BFS state of the round's connectivity check.
     visited: Vec<bool>,
     stack: Vec<u32>,
+    /// Delayed links only: one receiver's reachability row, `reach[s]`.
+    reach: Vec<bool>,
 }
 
 #[derive(Debug)]
@@ -311,13 +491,44 @@ fn schedule_seed_invariant(schedule: &TopologySchedule) -> bool {
     }
 }
 
-/// Counts the connected components of a flat link mask (diagonal set), the
-/// allocation-free equivalent of [`Adjacency::component_count`] on the
-/// churned round graph.
-fn mask_components(mask: &[bool], n: usize, visited: &mut [bool], stack: &mut Vec<u32>) -> usize {
+/// Draws one lane round of churn over the base graph's edges into `up`:
+/// each undirected link `a < b` is drawn once (a pure hash of
+/// `(seed, round, a, b)`, so the visiting order is irrelevant) and both of
+/// its list entries take the result.
+fn draw_churn(
+    base: &StaticGraph,
+    mirror: &[u32],
+    seed: u64,
+    round: u64,
+    flip_rate: f64,
+    up: &mut [bool],
+) {
+    for a in 0..base.offsets.len() - 1 {
+        for i in base.span(a) {
+            let b = base.neighbors[i] as usize;
+            if b == a {
+                up[i] = true;
+            } else if b > a {
+                let linked = !churn_link_down(seed, round, a, b, flip_rate);
+                up[i] = linked;
+                up[mirror[i] as usize] = linked;
+            }
+        }
+    }
+}
+
+/// Counts the connected components of the churned round graph — the base
+/// lists filtered by `up` — the allocation-free equivalent of
+/// [`Adjacency::component_count`] on it.
+fn churn_components(
+    base: &StaticGraph,
+    up: &[bool],
+    visited: &mut [bool],
+    stack: &mut Vec<u32>,
+) -> usize {
     visited.fill(false);
     let mut components = 0;
-    for start in 0..n {
+    for start in 0..visited.len() {
         if visited[start] {
             continue;
         }
@@ -325,9 +536,9 @@ fn mask_components(mask: &[bool], n: usize, visited: &mut [bool], stack: &mut Ve
         visited[start] = true;
         stack.push(start as u32);
         while let Some(node) = stack.pop() {
-            let row = &mask[node as usize * n..(node as usize + 1) * n];
-            for (next, &linked) in row.iter().enumerate() {
-                if linked && !visited[next] {
+            for i in base.span(node as usize) {
+                let next = base.neighbors[i] as usize;
+                if up[i] && !visited[next] {
                     visited[next] = true;
                     stack.push(next as u32);
                 }
@@ -390,44 +601,36 @@ impl SharedRealization {
             });
         }
         let max_delay = faults.compiled_max_delay();
-        let (graphs, churns) = match realized.kind() {
-            RealizedKind::Static(adjacency) => (
-                DynGraphs::Phases(vec![PhaseGraph::new(adjacency.clone())]),
-                false,
-            ),
-            RealizedKind::Periodic(phases) => (
-                DynGraphs::Phases(phases.iter().cloned().map(PhaseGraph::new).collect()),
-                false,
-            ),
+        let graphs = match realized.kind() {
+            RealizedKind::Static(adjacency) => DynGraphs::Phases(vec![PhaseGraph::new(adjacency)]),
+            RealizedKind::Periodic(phases) => {
+                DynGraphs::Phases(phases.iter().map(PhaseGraph::new).collect())
+            }
+            // Frozen churn realizes the base every round.
+            RealizedKind::Churn { base, flip_rate } if *flip_rate == 0.0 => {
+                DynGraphs::Phases(vec![PhaseGraph::new(base)])
+            }
             RealizedKind::Churn { base, flip_rate } => {
-                if *flip_rate == 0.0 {
-                    // Frozen churn realizes the base every round.
-                    (
-                        DynGraphs::Phases(vec![PhaseGraph::new(base.clone())]),
-                        false,
-                    )
-                } else {
-                    (
-                        DynGraphs::Churn {
-                            base: base.clone(),
-                            flip_rate: *flip_rate,
-                        },
-                        true,
-                    )
+                let base = StaticGraph::new(base);
+                DynGraphs::Churn {
+                    mirror: base.mirrors(),
+                    base,
+                    flip_rate: *flip_rate,
                 }
             }
         };
-        let scratch = DynScratch {
-            mask: if churns {
-                vec![false; n * n]
-            } else {
-                Vec::new()
+        let scratch = match &graphs {
+            DynGraphs::Churn { base, .. } => DynScratch {
+                up: vec![false; base.neighbors.len()],
+                visited: vec![false; n],
+                stack: Vec::with_capacity(n),
+                reach: vec![false; n],
             },
-            visited: if churns { vec![false; n] } else { Vec::new() },
-            stack: if churns {
-                Vec::with_capacity(n)
-            } else {
-                Vec::new()
+            DynGraphs::Phases(_) => DynScratch {
+                up: Vec::new(),
+                visited: Vec::new(),
+                stack: Vec::new(),
+                reach: vec![false; n],
             },
         };
         Some(SharedRealization {
@@ -464,10 +667,11 @@ impl SharedRealization {
         }
     }
 
-    /// Performs the send + receive phases of one lane's round, collecting
+    /// Performs the send + receive phases of one lane's round, assembling
     /// the values delivered to every receiver whose `active` flag is set
-    /// into `rows` (ascending-sender order per row) and accounting **all**
-    /// `n²` slots into `stats` — delivered values, sender omissions,
+    /// into `rows` — each row ascending, from one sort of the round's
+    /// broadcasts (see [`DeliveryRows`]) — and accounting **all** `n²`
+    /// slots into `stats` — delivered values, sender omissions,
     /// structural non-deliveries, link omissions/delays — with the exact
     /// counter semantics of the scalar [`SyncNetwork`](crate::SyncNetwork)
     /// exchange for the same lane-seeded configuration.
@@ -503,31 +707,27 @@ impl SharedRealization {
         let n = self.n;
         assert_eq!(sends.len(), n, "one send classification per process");
         assert_eq!(active.len(), n, "one active flag per process");
-        rows.reset();
+        rows.sort_broadcasts(sends);
         match &mut self.kind {
             SharedKind::Static(graph) => {
                 stats.rounds += 1;
                 for r in 0..n {
                     let receiver = ProcessId::new(r);
+                    let row_active = active[r];
                     let hood = graph.closed_neighborhood(r);
                     let reachable = hood.len() as u64;
                     let mut delivered = 0u64;
-                    if active[r] {
-                        let start = rows.total;
-                        let mut len = 0usize;
-                        for &s in hood {
-                            if let Some(value) = sends[s as usize].slot(outboxes, receiver) {
-                                rows.merged[start + len] = value;
-                                len += 1;
+                    for &s in hood {
+                        let s = s as usize;
+                        if let Some(value) = sends[s].slot(outboxes, receiver) {
+                            delivered += 1;
+                            if row_active {
+                                rows.deliver(sends[s], s, value);
                             }
                         }
-                        delivered = len as u64;
-                        rows.push_row(r, start, len);
-                    } else {
-                        for &s in hood {
-                            delivered +=
-                                u64::from(sends[s as usize].slot(outboxes, receiver).is_some());
-                        }
+                    }
+                    if row_active {
+                        rows.push_row(r);
                     }
                     stats.messages_delivered += delivered;
                     stats.omissions += reachable - delivered;
@@ -552,43 +752,34 @@ impl SharedRealization {
                 }
                 lane.next_round += 1;
                 let seed = lane.seed;
+                let DynScratch {
+                    up,
+                    visited,
+                    stack,
+                    reach,
+                } = scratch;
 
-                // Resolve the round's graph and its connectivity. Phases
-                // were precomputed at build; churn redraws its mask from
-                // the lane seed, exactly the scalar draw stream.
-                let phase: Option<&PhaseGraph> = match graphs {
+                // Resolve the round's graph — neighbour lists, plus under
+                // churn the round's `up` flags over them — and its
+                // connectivity. Phases were precomputed at build; churn
+                // redraws its base edges from the lane seed, exactly the
+                // scalar draw stream.
+                let (graph, up, connected, components) = match graphs {
                     DynGraphs::Phases(phases) => {
-                        Some(&phases[(round.index() % phases.len() as u64) as usize])
+                        let phase = &phases[(round.index() % phases.len() as u64) as usize];
+                        (&phase.graph, None, phase.connected, phase.components)
                     }
-                    DynGraphs::Churn { base, flip_rate } => {
-                        let mask = &mut scratch.mask;
-                        mask.fill(false);
-                        for a in 0..n {
-                            mask[a * n + a] = true;
-                            for b in a + 1..n {
-                                if base.connected(ProcessId::new(a), ProcessId::new(b))
-                                    && !churn_link_down(seed, round.index(), a, b, *flip_rate)
-                                {
-                                    mask[a * n + b] = true;
-                                    mask[b * n + a] = true;
-                                }
-                            }
-                        }
-                        None
+                    DynGraphs::Churn {
+                        base,
+                        mirror,
+                        flip_rate,
+                    } => {
+                        draw_churn(base, mirror, seed, round.index(), *flip_rate, up);
+                        let components = churn_components(base, up, visited, stack);
+                        (&*base, Some(&up[..]), components == 1, components)
                     }
                 };
-                let (connected, components) = match phase {
-                    Some(phase) => (phase.connected, phase.components),
-                    None => {
-                        let components = mask_components(
-                            &scratch.mask,
-                            n,
-                            &mut scratch.visited,
-                            &mut scratch.stack,
-                        );
-                        (components == 1, components)
-                    }
-                };
+                let linked = |i: usize| up.is_none_or(|up| up[i]);
                 if !connected {
                     match policy {
                         DisconnectionPolicy::Reject => {
@@ -600,56 +791,33 @@ impl SharedRealization {
 
                 if *max_delay == 0 {
                     // No link ever buffers: classify and account each slot
-                    // immediately, walking only the reachable senders.
+                    // immediately, walking only the round graph's lists.
                     for r in 0..n {
                         let receiver = ProcessId::new(r);
                         let row_active = active[r];
-                        let start = rows.total;
-                        let mut len = 0usize;
-                        let mut deliver =
-                            |s: usize, rows: &mut DeliveryRows, stats: &mut NetworkStats| {
-                                match sends[s].slot(outboxes, receiver) {
-                                    None => stats.omissions += 1,
-                                    Some(value) => {
-                                        if omission_lost(
-                                            seed,
-                                            round.index(),
-                                            s,
-                                            r,
-                                            faults.omit_at(s, r),
-                                        ) {
-                                            stats.link_omissions += 1;
-                                        } else {
-                                            stats.messages_delivered += 1;
-                                            if row_active {
-                                                rows.merged[start + len] = value;
-                                                len += 1;
-                                            }
-                                        }
-                                    }
-                                }
-                            };
-                        match phase {
-                            Some(phase) => {
-                                let hood = phase.graph.closed_neighborhood(r);
-                                stats.unreachable += (n - hood.len()) as u64;
-                                for &s in hood {
-                                    deliver(s as usize, rows, stats);
-                                }
+                        let span = graph.span(r);
+                        stats.unreachable += (n - span.len()) as u64;
+                        for i in span {
+                            if !linked(i) {
+                                stats.unreachable += 1;
+                                continue;
                             }
-                            None => {
-                                let mask_row = &scratch.mask[r * n..(r + 1) * n];
-                                for (s, &reachable) in mask_row.iter().enumerate() {
-                                    if reachable {
-                                        deliver(s, rows, stats);
-                                    } else {
-                                        stats.unreachable += 1;
-                                    }
-                                }
+                            let s = graph.neighbors[i] as usize;
+                            let Some(value) = sends[s].slot(outboxes, receiver) else {
+                                stats.omissions += 1;
+                                continue;
+                            };
+                            if omission_lost(seed, round.index(), s, r, faults.omit_at(s, r)) {
+                                stats.link_omissions += 1;
+                                continue;
+                            }
+                            stats.messages_delivered += 1;
+                            if row_active {
+                                rows.deliver(sends[s], s, value);
                             }
                         }
                         if row_active {
-                            rows.push_row(r, start, len);
+                            rows.push_row(r);
                         }
                     }
                 } else {
@@ -659,17 +827,15 @@ impl SharedRealization {
                     for r in 0..n {
                         let receiver = ProcessId::new(r);
                         let row_active = active[r];
-                        let start = rows.total;
-                        let mut len = 0usize;
+                        reach.fill(false);
+                        for i in graph.span(r) {
+                            if linked(i) {
+                                reach[graph.neighbors[i] as usize] = true;
+                            }
+                        }
                         for s in 0..n {
                             let delay = faults.delay_at(s, r);
-                            let reachable = match phase {
-                                Some(phase) => {
-                                    phase.adjacency.connected(ProcessId::new(s), receiver)
-                                }
-                                None => scratch.mask[s * n + r],
-                            };
-                            let sent = if !reachable {
+                            let sent = if !reach[s] {
                                 SendOutcome::Unreachable
                             } else {
                                 match sends[s].slot(outboxes, receiver) {
@@ -708,8 +874,13 @@ impl SharedRealization {
                                         stats.link_delayed += 1;
                                     }
                                     if row_active {
-                                        rows.merged[start + len] = value;
-                                        len += 1;
+                                        if delay == 0 {
+                                            rows.deliver(sends[s], s, value);
+                                        } else {
+                                            // Sent in an earlier round: not
+                                            // one of this round's ranks.
+                                            rows.deliver_extra(value);
+                                        }
                                     }
                                 }
                                 Some(SendOutcome::SenderOmitted) => stats.omissions += 1,
@@ -719,7 +890,7 @@ impl SharedRealization {
                             }
                         }
                         if row_active {
-                            rows.push_row(r, start, len);
+                            rows.push_row(r);
                         }
                     }
                 }
@@ -751,8 +922,34 @@ mod tests {
             .collect()
     }
 
+    /// A mixed send phase full of ties: broadcasters whose values repeat
+    /// (signed zeros included), silent senders, and per-receiver senders
+    /// whose slots vary and sometimes omit — with the matching outboxes
+    /// the scalar network takes.
+    fn mixed_sends(n: usize) -> (Vec<LaneSend>, Vec<Outbox>) {
+        let tie = |i: usize| Value::new([-0.0, 1.0, 0.0, -2.0][i % 4]);
+        (0..n)
+            .map(|i| match i % 5 {
+                1 => (LaneSend::Silent, Outbox::silent(n, pid(i))),
+                3 => {
+                    let slots = (0..n).map(|r| (r % 3 != 0).then(|| tie(r + i))).collect();
+                    (
+                        LaneSend::PerReceiver(i),
+                        Outbox::per_receiver(pid(i), slots),
+                    )
+                }
+                _ => (
+                    LaneSend::Broadcast(tie(i)),
+                    Outbox::broadcast(n, pid(i), tie(i)),
+                ),
+            })
+            .unzip()
+    }
+
     /// Runs `rounds` rounds through both the scalar network and the shared
-    /// realization and asserts identical per-receiver multisets and stats.
+    /// realization, under both a plain broadcast send phase and a mixed
+    /// one, and asserts that every row is the receiver's scalar multiset,
+    /// ascending, and that the stats are identical.
     fn assert_matches_scalar(
         topology: &Topology,
         schedule: Option<&TopologySchedule>,
@@ -762,39 +959,60 @@ mod tests {
         seed: u64,
         rounds: u64,
     ) {
-        let mut scalar = if schedule.is_none() && plan.is_clean() {
-            SyncNetwork::with_topology(topology.realize(n, seed).unwrap())
-        } else {
-            let desc = schedule
-                .cloned()
-                .unwrap_or_else(|| TopologySchedule::Static(topology.clone()));
-            SyncNetwork::with_dynamics(desc.realize(n, seed).unwrap(), plan, policy, seed).unwrap()
-        }
-        .with_trace_recording(false);
-        let mut shared = SharedRealization::try_build(n, topology, schedule, plan, policy)
-            .expect("description is shareable");
-        let mut lane = shared.lane(seed);
-        let mut rows = DeliveryRows::new(n);
-        let mut stats = NetworkStats::new();
-        let sends = broadcast_sends(n);
-        let outboxes = broadcast_outboxes(n);
-        let active = vec![true; n];
-        for round in 0..rounds {
-            let round = Round::new(round);
-            let deliveries = scalar.exchange(round, outboxes.clone()).unwrap();
-            shared
-                .exchange_rows(
-                    &mut lane, round, &sends, &outboxes, &active, &mut rows, &mut stats,
-                )
-                .unwrap();
-            assert_eq!(rows.rows(), n);
-            for row in 0..rows.rows() {
-                let r = rows.receiver(row);
-                let scalar_row: Vec<Value> = deliveries[r].iter().filter_map(|(_, v)| v).collect();
-                assert_eq!(rows.row(row), &scalar_row[..], "round {round} receiver {r}");
+        for (sends, outboxes) in [(broadcast_sends(n), broadcast_outboxes(n)), mixed_sends(n)] {
+            let mut scalar = if schedule.is_none() && plan.is_clean() {
+                SyncNetwork::with_topology(topology.realize(n, seed).unwrap())
+            } else {
+                let desc = schedule
+                    .cloned()
+                    .unwrap_or_else(|| TopologySchedule::Static(topology.clone()));
+                SyncNetwork::with_dynamics(desc.realize(n, seed).unwrap(), plan, policy, seed)
+                    .unwrap()
             }
+            .with_trace_recording(false);
+            let mut shared = SharedRealization::try_build(n, topology, schedule, plan, policy)
+                .expect("description is shareable");
+            let mut lane = shared.lane(seed);
+            let mut rows = DeliveryRows::new(n);
+            let mut stats = NetworkStats::new();
+            let active = vec![true; n];
+            for round in 0..rounds {
+                let round = Round::new(round);
+                let deliveries = scalar.exchange(round, outboxes.clone()).unwrap();
+                shared
+                    .exchange_rows(
+                        &mut lane, round, &sends, &outboxes, &active, &mut rows, &mut stats,
+                    )
+                    .unwrap();
+                assert_eq!(rows.rows(), n);
+                for row in 0..rows.rows() {
+                    let r = rows.receiver(row);
+                    let mut scalar_row: Vec<Value> =
+                        deliveries[r].iter().filter_map(|(_, v)| v).collect();
+                    scalar_row.sort_unstable();
+                    assert_eq!(rows.row(row), &scalar_row[..], "round {round} receiver {r}");
+                }
+            }
+            assert_eq!(stats, scalar.stats());
         }
-        assert_eq!(stats, scalar.stats());
+    }
+
+    #[test]
+    fn merges_interleave_and_keep_prefix_ties_first() {
+        let v = |x: f64| Value::new(x);
+        let mut out = [v(0.0); 6];
+        merge_sorted(
+            &[v(1.0), v(3.0), v(5.0)],
+            &[v(0.0), v(3.0), v(9.0)],
+            &mut out,
+        );
+        assert_eq!(out, [v(0.0), v(1.0), v(3.0), v(3.0), v(5.0), v(9.0)]);
+        let mut row = [v(1.0), v(3.0), v(5.0), v(0.0), v(0.0), v(0.0)];
+        merge_in_place(&mut row, &[v(0.0), v(3.0), v(9.0)]);
+        assert_eq!(row, [v(0.0), v(1.0), v(3.0), v(3.0), v(5.0), v(9.0)]);
+        let mut only_extras = [v(0.0); 2];
+        merge_in_place(&mut only_extras, &[v(-1.0), v(2.0)]);
+        assert_eq!(only_extras, [v(-1.0), v(2.0)]);
     }
 
     #[test]
@@ -840,6 +1058,88 @@ mod tests {
                 12,
             );
         }
+    }
+
+    #[test]
+    fn churned_partial_bases_match_scalar() {
+        // A churn base with missing links: draws run over the base's
+        // neighbour lists only, and both entries of a link share a draw.
+        let schedule = TopologySchedule::SeededChurn {
+            base: Topology::Ring { k: 2 },
+            flip_rate: 0.3,
+        };
+        for seed in [1, 4] {
+            for plan in [
+                LinkFaultPlan::new(),
+                LinkFaultPlan::new().omit_all(0.2).delay(1, 2, 2),
+            ] {
+                assert_matches_scalar(
+                    &Topology::Complete,
+                    Some(&schedule),
+                    &plan,
+                    DisconnectionPolicy::Record,
+                    12,
+                    seed,
+                    10,
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rejected_churn_rounds_report_the_scalar_component_count() {
+        let n = 12;
+        let schedule = TopologySchedule::SeededChurn {
+            base: Topology::Ring { k: 2 },
+            flip_rate: 0.35,
+        };
+        let plan = LinkFaultPlan::new();
+        let mut rejected = 0;
+        for seed in 0..8 {
+            let mut scalar = SyncNetwork::with_dynamics(
+                schedule.realize(n, seed).unwrap(),
+                &plan,
+                DisconnectionPolicy::Reject,
+                seed,
+            )
+            .unwrap()
+            .with_trace_recording(false);
+            let mut shared = SharedRealization::try_build(
+                n,
+                &Topology::Complete,
+                Some(&schedule),
+                &plan,
+                DisconnectionPolicy::Reject,
+            )
+            .unwrap();
+            let mut lane = shared.lane(seed);
+            let mut rows = DeliveryRows::new(n);
+            let mut stats = NetworkStats::new();
+            for round in 0..20 {
+                let round = Round::new(round);
+                let expected = scalar
+                    .exchange(round, broadcast_outboxes(n))
+                    .map(|_| ())
+                    .map_err(|e| e.to_string());
+                let got = shared
+                    .exchange_rows(
+                        &mut lane,
+                        round,
+                        &broadcast_sends(n),
+                        &broadcast_outboxes(n),
+                        &vec![true; n],
+                        &mut rows,
+                        &mut stats,
+                    )
+                    .map_err(|e| e.to_string());
+                assert_eq!(got, expected, "seed {seed} {round}");
+                if got.is_err() {
+                    rejected += 1;
+                    break;
+                }
+            }
+        }
+        assert!(rejected > 0, "no seed produced a disconnected round");
     }
 
     #[test]

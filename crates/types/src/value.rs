@@ -12,6 +12,11 @@ use serde::{Deserialize, Serialize};
 /// while guaranteeing *finiteness* (no NaN, no infinities), which gives it a
 /// total order and makes multiset reduction deterministic.
 ///
+/// Every constructor also maps `-0.0` to `+0.0`, so two values that
+/// compare equal are bit-identical. Sorting is therefore canonical: every
+/// sort of one multiset — and every in-order subsequence of a sorted
+/// buffer — yields the same bits, however it orders ties.
+///
 /// # Example
 ///
 /// ```
@@ -47,7 +52,7 @@ impl Value {
     /// NaN or infinite.
     #[must_use]
     pub fn try_new(raw: f64) -> Option<Self> {
-        raw.is_finite().then_some(Value(raw))
+        raw.is_finite().then_some(Value(canonical_zero(raw)))
     }
 
     /// Returns the underlying `f64`.
@@ -59,7 +64,7 @@ impl Value {
     /// Returns the absolute value.
     #[must_use]
     pub fn abs(self) -> Value {
-        Value(self.0.abs())
+        Value(canonical_zero(self.0.abs()))
     }
 
     /// Returns the absolute difference `|self - other|`.
@@ -71,7 +76,7 @@ impl Value {
     /// Returns the midpoint `(self + other) / 2`.
     #[must_use]
     pub fn midpoint(self, other: Value) -> Value {
-        Value(self.0 / 2.0 + other.0 / 2.0)
+        Value(canonical_zero(self.0 / 2.0 + other.0 / 2.0))
     }
 
     /// Returns the smaller of two values.
@@ -106,6 +111,17 @@ impl Value {
     }
 }
 
+/// Maps `-0.0` to `+0.0` and leaves every other `f64` unchanged — the
+/// zero-normalization every [`Value`] constructor applies.
+#[inline]
+fn canonical_zero(raw: f64) -> f64 {
+    if raw == 0.0 {
+        0.0
+    } else {
+        raw
+    }
+}
+
 impl Default for Value {
     fn default() -> Self {
         Value::ZERO
@@ -117,8 +133,9 @@ impl Eq for Value {}
 impl Ord for Value {
     fn cmp(&self, other: &Self) -> Ordering {
         // Finiteness is enforced at construction, so partial_cmp never
-        // fails; total_cmp is not used because it would order -0.0 < 0.0
-        // and change sort permutations the seeded tests pin down.
+        // fails. Zero is normalized at construction too (no value holds
+        // -0.0), so this order is total *and* equal values are
+        // bit-identical: the order of ties can never change a result.
         self.0
             // mbaa: allow(determinism/stable-sort, construction invariant makes the partial order total)
             .partial_cmp(&other.0)
@@ -186,7 +203,7 @@ impl Neg for Value {
     type Output = Value;
 
     fn neg(self) -> Value {
-        Value(-self.0)
+        Value(canonical_zero(-self.0))
     }
 }
 
@@ -317,6 +334,50 @@ mod tests {
         let a = Value::new(f64::MAX);
         let b = Value::new(f64::MAX);
         assert_eq!(a.midpoint(b), a);
+    }
+
+    #[test]
+    fn every_constructor_normalizes_negative_zero() {
+        let plus = 0.0f64.to_bits();
+        let tiny = Value::new(-f64::MIN_POSITIVE * f64::EPSILON); // -5e-324
+        for (label, value) in [
+            ("new", Value::new(-0.0)),
+            ("try_new", Value::try_new(-0.0).unwrap()),
+            ("neg", -Value::ZERO),
+            ("abs", Value::new(-0.0).abs()),
+            ("add", tiny + -tiny),
+            ("sub", Value::ZERO - Value::ZERO),
+            ("mul underflow", Value::new(-1e-300) * 1e-300),
+            ("div underflow", Value::new(-1e-300) / 1e300),
+            ("midpoint underflow", tiny.midpoint(tiny)),
+        ] {
+            assert_eq!(value.get().to_bits(), plus, "{label}: {value:?}");
+        }
+        // Negative values that are not zero keep their sign.
+        assert_eq!(tiny.get().to_bits(), (-5e-324f64).to_bits());
+        assert_eq!((-Value::ONE).get().to_bits(), (-1.0f64).to_bits());
+    }
+
+    #[test]
+    fn equal_values_are_bit_identical_so_tie_order_is_invisible() {
+        let zeros = [Value::new(-0.0), Value::ZERO, -Value::ZERO];
+        for a in zeros {
+            for b in zeros {
+                assert_eq!(a, b);
+                assert_eq!(a.get().to_bits(), b.get().to_bits());
+            }
+        }
+        let mut forward = vec![
+            Value::new(-0.0),
+            Value::new(1.0),
+            Value::ZERO,
+            Value::new(-1.0),
+        ];
+        let mut backward: Vec<Value> = forward.iter().rev().copied().collect();
+        forward.sort_unstable();
+        backward.sort_unstable();
+        let bits = |vs: &[Value]| vs.iter().map(|v| v.get().to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&forward), bits(&backward));
     }
 
     #[test]

@@ -10,28 +10,40 @@
 //! fault-plan buffers are allocated once per run and reused in place.
 //!
 //! This is a separate integration-test binary on purpose: a global
-//! allocator is per-binary state, and the test must not race with parallel
-//! test threads (it is the only test in this file).
+//! allocator is per-binary state. The count is kept **per thread**, so the
+//! tests of this file may run on parallel test threads: each measures only
+//! the allocations of its own thread, which runs the engine under test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use mbaa::{
-    BatchEngine, BatchLane, CorruptionStrategy, MetricsRegistry, MobileEngine, MobileModel,
-    MobilityStrategy, Observe, Observer, ProtocolConfig, Topology, TopologySchedule, Value,
+    BatchEngine, BatchLane, CorruptionStrategy, LinkFaultPlan, MetricsRegistry, MobileEngine,
+    MobileModel, MobilityStrategy, Observe, Observer, ProtocolConfig, Topology, TopologySchedule,
+    Value,
 };
 
 /// Counts every allocation (not bytes — the assertion is about *count*)
-/// made through the global allocator.
+/// made through the global allocator, per thread.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialized and destructor-free: bumping it never allocates
+    // and never registers thread-exit state.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with` fails only while the thread is being torn down, when no
+    // test is measuring it.
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
 
 // SAFETY: defers entirely to the system allocator; the only addition is a
-// relaxed counter increment on the allocating paths.
+// thread-local counter increment on the allocating paths.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -40,7 +52,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -48,8 +60,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// The calling thread's allocation count so far.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// A run that cannot converge within `rounds`: under the worst-case
@@ -159,13 +172,15 @@ fn steady_state_rounds_allocate_nothing_under_observe_summary() {
     }
 }
 
-/// The general-path analogue of [`run_counting`], on the seed-batched
-/// engine: four lanes advance in lockstep over a partial or dynamic
-/// network realization shared across the batch. Returns the allocation
-/// delta of the measured run and every lane's executed round count.
+/// The batch-engine analogue of [`run_counting`]: four lanes advance in
+/// lockstep over one network realization shared across the batch (the
+/// fast path on the clean complete graph, the general path otherwise).
+/// Returns the allocation delta of the measured run and every lane's
+/// executed round count.
 fn run_batch_counting(
     topology: Topology,
     schedule: Option<TopologySchedule>,
+    link_faults: LinkFaultPlan,
     rounds: usize,
 ) -> (u64, Vec<usize>) {
     let n = 16;
@@ -176,7 +191,8 @@ fn run_batch_counting(
         .mobility(MobilityStrategy::TargetExtremes)
         .corruption(CorruptionStrategy::split_attack())
         .observe(Observe::Summary)
-        .topology(topology);
+        .topology(topology)
+        .link_faults(link_faults);
     if let Some(schedule) = schedule {
         builder = builder.topology_schedule(schedule);
     }
@@ -205,26 +221,45 @@ fn run_batch_counting(
 
 #[test]
 fn general_path_batch_rounds_allocate_nothing_under_observe_summary() {
-    // The batch engine's *general* path — masked static exchange over a
-    // ring, and a churned dynamic realization rebuilt every round — with
-    // four lanes in lockstep against one shared network realization. Same
+    // The batch engine's row assembly on every shared path — the fast
+    // path's full rows on the complete graph, the masked static exchange
+    // over a ring, churned dynamic realizations redrawn every round, and
+    // lossy, delayed links whose arrivals join the rows as extras — with
+    // four lanes in lockstep against one shared network realization. The
+    // split attack keeps two faulty senders with per-receiver outboxes in
+    // every round, so the per-row extras are exercised too. Same
     // differential design as the scalar test: both runs share identical
     // setup, so the 20 extra steady-state rounds of the long run must not
     // have allocated at all.
-    for (label, topology, schedule) in [
-        ("ring", Topology::Ring { k: 4 }, None),
+    let churn = |base| TopologySchedule::SeededChurn {
+        base,
+        flip_rate: 0.15,
+    };
+    for (label, topology, schedule, link_faults) in [
+        ("complete", Topology::Complete, None, LinkFaultPlan::new()),
+        ("ring", Topology::Ring { k: 4 }, None, LinkFaultPlan::new()),
         (
             "churn",
             Topology::Complete,
-            Some(TopologySchedule::SeededChurn {
-                base: Topology::Complete,
-                flip_rate: 0.15,
-            }),
+            Some(churn(Topology::Complete)),
+            LinkFaultPlan::new(),
+        ),
+        (
+            "churned ring",
+            Topology::Complete,
+            Some(churn(Topology::Ring { k: 4 })),
+            LinkFaultPlan::new(),
+        ),
+        (
+            "churned ring, lossy delayed links",
+            Topology::Complete,
+            Some(churn(Topology::Ring { k: 4 })),
+            LinkFaultPlan::new().omit_all(0.05).delay(2, 3, 2),
         ),
     ] {
         let (allocs_short, rounds_short) =
-            run_batch_counting(topology.clone(), schedule.clone(), 6);
-        let (allocs_long, rounds_long) = run_batch_counting(topology, schedule, 26);
+            run_batch_counting(topology.clone(), schedule.clone(), link_faults.clone(), 6);
+        let (allocs_long, rounds_long) = run_batch_counting(topology, schedule, link_faults, 26);
         assert!(
             rounds_short.iter().all(|&r| r == 6),
             "{label}: every short lane must exhaust its budget, got {rounds_short:?}"
@@ -236,7 +271,7 @@ fn general_path_batch_rounds_allocate_nothing_under_observe_summary() {
         assert_eq!(
             allocs_long,
             allocs_short,
-            "{label}: {} extra allocations across 20 extra general-path batch rounds",
+            "{label}: {} extra allocations across 20 extra batch rounds",
             allocs_long.saturating_sub(allocs_short)
         );
     }

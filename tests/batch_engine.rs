@@ -10,7 +10,9 @@
 //! comparison therefore also pins the invariant that summaries are
 //! identical across observability levels.
 
+use mbaa::core::PackedLane;
 use mbaa::prelude::*;
+use mbaa::{BatchEngine, MobileEngine, MobileRunOutcome, Observe, ProtocolConfig};
 
 /// The scalar reference: one `MobileEngine` run per seed, summarized.
 fn scalar_summaries(scenario: &Scenario, seeds: &[u64]) -> Vec<RunSummary> {
@@ -251,4 +253,221 @@ fn worker_counts_leave_packed_sweeps_bit_identical() {
             "{workers} workers diverged from the scalar reference on a packed sweep",
         );
     }
+}
+
+/// SplitMix64: the generated battery's own seeded stream, so the battery
+/// is a fixed, reproducible set of cases.
+struct Gen(u64);
+
+impl Gen {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `lo..=hi`.
+    fn range(&mut self, lo: usize, hi: usize) -> usize {
+        lo + (self.next() % (hi - lo + 1) as u64) as usize
+    }
+
+    fn chance(&mut self, percent: u64) -> bool {
+        self.next() % 100 < percent
+    }
+
+    fn pick<T: Clone>(&mut self, items: &[T]) -> T {
+        items[self.range(0, items.len() - 1)].clone()
+    }
+}
+
+/// Inputs built to stress tie order: most values come from a small pool
+/// holding both signed zeros and repeated extremes, the rest from a coarse
+/// grid, so nearly every multiset has ties.
+fn generated_inputs(g: &mut Gen, n: usize) -> Vec<Value> {
+    const POOL: [f64; 9] = [-0.0, 0.0, 0.0, 1.0, -1.0, 0.5, 1e6, -1e6, 1e6];
+    (0..n)
+        .map(|_| {
+            if g.chance(70) {
+                Value::new(g.pick(&POOL))
+            } else {
+                Value::new(g.range(0, 80) as f64 * 0.25 - 10.0)
+            }
+        })
+        .collect()
+}
+
+/// One generated network description: a static topology or a schedule
+/// (periodic or churn), optionally under omission/cut/delay link faults,
+/// under either disconnection policy.
+#[derive(Clone, Debug)]
+struct NetworkDescription {
+    topology: Topology,
+    schedule: Option<TopologySchedule>,
+    link_faults: LinkFaultPlan,
+    disconnection: DisconnectionPolicy,
+}
+
+fn generated_network(g: &mut Gen, n: usize, fast: bool) -> NetworkDescription {
+    let clean = NetworkDescription {
+        topology: Topology::Complete,
+        schedule: None,
+        link_faults: LinkFaultPlan::new(),
+        disconnection: DisconnectionPolicy::Record,
+    };
+    if fast {
+        return clean;
+    }
+    let graph = |g: &mut Gen| match g.range(0, 2) {
+        0 => Topology::Complete,
+        1 => Topology::Ring {
+            k: g.range(1, n / 2),
+        },
+        _ => Topology::Grid,
+    };
+    let mut net = clean;
+    match g.range(0, 3) {
+        0 => net.topology = graph(g),
+        1 => {
+            let phases = (0..g.range(2, 3)).map(|_| graph(g)).collect();
+            net.schedule = Some(TopologySchedule::Periodic { phases });
+        }
+        2 => {
+            net.schedule = Some(TopologySchedule::SeededChurn {
+                base: graph(g),
+                flip_rate: g.pick(&[0.0, 0.05, 0.2, 0.5]),
+            });
+        }
+        _ => {}
+    }
+    if net.topology == Topology::Complete && net.schedule.is_none() || g.chance(35) {
+        let mut plan = LinkFaultPlan::new();
+        if g.chance(60) {
+            plan = plan.omit_all(g.pick(&[0.02, 0.1, 0.3]));
+        }
+        for _ in 0..g.range(0, 2) {
+            let (a, b) = (g.range(0, n - 1), g.range(0, n - 1));
+            if a != b {
+                plan = match g.range(0, 2) {
+                    0 => plan.cut(a, b),
+                    1 => plan.omit(a, b, 0.5),
+                    _ => plan.delay(a, b, g.range(1, 3)),
+                };
+            }
+        }
+        if g.chance(15) {
+            plan = plan.delay_all(1);
+        }
+        net.link_faults = plan;
+    }
+    if g.chance(30) {
+        net.disconnection = DisconnectionPolicy::Reject;
+    }
+    net
+}
+
+/// The full `Debug` rendering of a run result: it prints every `f64` with
+/// enough digits to round-trip (and `-0.0` apart from `0.0`), so equal
+/// renderings mean bit-identical outcomes.
+fn render(result: &mbaa::Result<MobileRunOutcome>) -> String {
+    match result {
+        Ok(outcome) => format!("{outcome:?}"),
+        Err(error) => format!("error: {error}"),
+    }
+}
+
+#[test]
+fn generated_packs_match_the_scalar_engine_bit_for_bit() {
+    // A fixed budget of 140 generated ragged packs: n in [5, 40], every
+    // model, complete / ring / grid / periodic / churn networks with
+    // omissions, cuts and delays, 2–12 lanes per pack mixing up to three
+    // network descriptions (and per-lane ε, budget, mobility, corruption,
+    // seed), and inputs full of ties, signed zeros and repeated extremes.
+    // Every lane of every pack must equal its own scalar `MobileEngine`
+    // run bit for bit — outcome or error.
+    let mut g = Gen(0x5EED_BA7C);
+    let corruptions = CorruptionStrategy::all_representative();
+    let (mut fast_packs, mut general_packs, mut lanes, mut errors, mut rounds) = (0, 0, 0, 0, 0);
+    for pack_index in 0..140 {
+        let model = g.pick(&MobileModel::ALL);
+        let n = g.range(5, 40);
+        let max_f = (1..n)
+            .take_while(|&f| model.required_processes(f) <= n)
+            .last();
+        let f = g.range(1, max_f.unwrap_or(1));
+        let fast = g.chance(25);
+        let descriptions: Vec<NetworkDescription> = (0..g.range(1, 3))
+            .map(|_| generated_network(&mut g, n, fast))
+            .collect();
+        let width = g.range(2, 12);
+        let mut pack = Vec::new();
+        for _ in 0..2 * width {
+            if pack.len() == width {
+                break;
+            }
+            let net = g.pick(&descriptions);
+            let mut builder = ProtocolConfig::builder(model, n, f)
+                .epsilon(g.pick(&[1e-2, 1e-4, 1e-6]))
+                .max_rounds(g.range(1, 60))
+                .mobility(g.pick(&MobilityStrategy::ALL))
+                .corruption(g.pick(&corruptions))
+                .link_faults(net.link_faults.clone())
+                .disconnection(net.disconnection)
+                .observe(Observe::Summary)
+                .seed(g.next())
+                .allow_bound_violation();
+            builder = match net.schedule.clone() {
+                Some(schedule) => builder.topology_schedule(schedule),
+                None => builder.topology(net.topology.clone()),
+            };
+            // Descriptions the builder rejects (e.g. a disconnected grid
+            // phase under `Reject`) are simply not packed.
+            if let Ok(config) = builder.build() {
+                pack.push(PackedLane {
+                    inputs: generated_inputs(&mut g, n),
+                    config,
+                });
+            }
+        }
+        if pack.len() < 2 {
+            continue;
+        }
+        if pack.iter().all(|lane| {
+            lane.config.schedule.is_none()
+                && lane.config.link_faults.is_clean()
+                && lane.config.topology == Topology::Complete
+        }) {
+            fast_packs += 1;
+        } else {
+            general_packs += 1;
+        }
+        let results = BatchEngine::run_packed(&pack);
+        assert_eq!(results.len(), pack.len());
+        for (lane, result) in pack.iter().zip(&results) {
+            let scalar = MobileEngine::new(lane.config.clone()).run(&lane.inputs);
+            assert_eq!(
+                render(result),
+                render(&scalar),
+                "pack {pack_index}, lane seed {}: {model} n={n} f={} {} / {:?} / {:?}",
+                lane.config.seed,
+                lane.config.f,
+                lane.config.topology,
+                lane.config.schedule,
+                lane.config.link_faults,
+            );
+            lanes += 1;
+            errors += usize::from(result.is_err());
+            rounds += result.as_ref().map_or(0, |outcome| outcome.rounds_executed);
+        }
+    }
+    // The budget really covers both paths and the error branch.
+    assert!(fast_packs >= 25, "only {fast_packs} fast-path packs");
+    assert!(
+        general_packs >= 90,
+        "only {general_packs} general-path packs"
+    );
+    assert!(lanes >= 800, "only {lanes} lanes");
+    assert!(rounds >= 8000, "only {rounds} lane-rounds");
+    assert!(errors >= 1, "no lane exercised a run error");
 }
