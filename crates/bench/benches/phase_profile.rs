@@ -8,9 +8,11 @@
 //! `BENCH_phase_profile.json` via the criterion shim's `MBAA_BENCH_JSON`
 //! hook, so CI's bench-diff step can flag a phase whose share drifts — an
 //! MSR-apply regression shows up here before it shows up as a raw
-//! rounds/sec drop. A second family of rows
-//! (`phase_share/batch_ring/{n}/{phase}`) profiles the seed-batched
-//! engine's general path over a shared ring realization.
+//! rounds/sec drop. Two more profiles (`batch_ring`, `batch_churn`)
+//! cover the seed-batched engine's general path over a shared ring
+//! realization, static and churned: they emit
+//! `phase_share/batch_{ring,churn}/{n}/{phase}` rows and absolute
+//! `phase_ns/batch_{ring,churn}/{n}/{phase}` rows in ns per lane-round.
 //!
 //! Because a profiler reports `enabled() == false`, the engine skips all
 //! telemetry-event assembly while it is attached: the spans measure the
@@ -24,7 +26,8 @@ use criterion::{record_metric, write_json_report};
 
 use mbaa::obs::timing::PhaseProfiler;
 use mbaa::{
-    BatchEngine, BatchLane, MobileEngine, MobileModel, Observe, ProtocolConfig, Topology, Value,
+    BatchEngine, BatchLane, MobileEngine, MobileModel, Observe, ProtocolConfig, Topology,
+    TopologySchedule, Value,
 };
 use mbaa_bench::spread_inputs;
 
@@ -75,22 +78,33 @@ fn profile(n: usize) {
 }
 
 /// The seed-batched engine's **general path** under the profiler: 8 lanes
-/// advancing in lockstep over a ring mask shared across the batch. The
-/// batch engine emits the same four phase hooks as the scalar loop
-/// (adversary planning, the masked exchange against the shared
-/// realization, the lane-major MSR fold, and per-lane recording), so the
-/// `phase_share/batch_ring/{n}/{phase}` rows show where the batched
-/// round's time goes — the evidence behind the vectorized-fold work.
-fn profile_batch(n: usize) {
+/// advancing in lockstep over one network realization shared across the
+/// batch — `batch_ring` a static ring mask, `batch_churn` the
+/// `engine_batch` churn schedule (flip rate 0.15) over that ring, redrawn
+/// per lane round. The batch engine emits the same four phase hooks as the
+/// scalar loop (adversary planning, the masked exchange against the
+/// shared realization, the lane-major MSR fold, and per-lane recording).
+/// The `phase_share/{label}/{n}/{phase}` rows show where the batched
+/// round's time goes; the `phase_ns/{label}/{n}/{phase}` rows give each
+/// phase's absolute cost in ns per lane-round.
+fn profile_batch(n: usize, churn: bool) {
     const K: usize = 8;
-    let config = ProtocolConfig::builder(MobileModel::Garay, n, 2)
+    let label = if churn { "batch_churn" } else { "batch_ring" };
+    let ring = Topology::Ring { k: 4 };
+    let builder = ProtocolConfig::builder(MobileModel::Garay, n, 2)
         .epsilon(1e-12)
         .max_rounds(200)
         .seed(7)
-        .observe(Observe::Summary)
-        .topology(Topology::Ring { k: 4 })
-        .build()
-        .expect("config");
+        .observe(Observe::Summary);
+    let builder = if churn {
+        builder.topology_schedule(TopologySchedule::SeededChurn {
+            base: ring,
+            flip_rate: 0.15,
+        })
+    } else {
+        builder.topology(ring)
+    };
+    let config = builder.build().expect("config");
     let engine = BatchEngine::new(config);
     let lanes: Vec<BatchLane> = (1..=K as u64)
         .map(|seed| BatchLane {
@@ -108,22 +122,30 @@ fn profile_batch(n: usize) {
     // One batch advances K lanes, so divide the scalar repetition budget.
     let reps = repetitions(n).div_ceil(K);
     let mut profiler = PhaseProfiler::new();
+    let mut lane_rounds = 0;
     for _ in 0..reps {
         for outcome in engine.run_observed(&lanes, &mut profiler) {
-            outcome.expect("profiled run");
+            lane_rounds += outcome.expect("profiled run").rounds_executed;
         }
     }
     let breakdown = profiler.breakdown();
-    println!("phase_profile batch_ring n={n} k={K} ({reps} batch(es)):");
+    println!("phase_profile {label} n={n} k={K} ({reps} batch(es), {lane_rounds} lane-rounds):");
     print!("{}", breakdown.render());
     let total = breakdown.total_nanos().max(1);
     for row in &breakdown.rows {
         let share = 100.0 * row.total_nanos as f64 / total as f64;
+        let phase = row.phase.name();
         record_metric(
             "phase_profile",
-            &format!("phase_share/batch_ring/{n}/{}", row.phase.name()),
+            &format!("phase_share/{label}/{n}/{phase}"),
             share,
             "%",
+        );
+        record_metric(
+            "phase_profile",
+            &format!("phase_ns/{label}/{n}/{phase}"),
+            row.total_nanos as f64 / lane_rounds.max(1) as f64,
+            "ns",
         );
     }
 }
@@ -135,7 +157,8 @@ fn main() {
     // The batched general path on the reduced grid the engine_batch bench
     // uses for its ring/churn rows.
     for &n in &[64usize, 256] {
-        profile_batch(n);
+        profile_batch(n, false);
+        profile_batch(n, true);
     }
     write_json_report();
 }

@@ -43,9 +43,9 @@
 //!
 //! On the **general path** (partial topologies, schedules, link faults) the
 //! lanes of each distinct network *description* share one
-//! [`SharedRealization`]: the realized graphs, closed-neighbourhood lists,
-//! compiled fault matrices, and per-phase connectivity are built once per
-//! batch instead of once per lane, and each lane keeps only a tiny
+//! [`SharedRealization`]: the realized graphs as per-receiver sender
+//! bitmask rows, compiled fault matrices, and per-phase connectivity are
+//! built once per batch instead of once per lane, and each lane keeps only a tiny
 //! [`mbaa_net::LaneDelivery`] (its seed-keyed churn/omission draw streams
 //! and delay pipes). [`SharedRealization::exchange_rows`] delivers and
 //! accounts every slot and assembles the rows. Descriptions that realize

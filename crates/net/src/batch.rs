@@ -6,41 +6,45 @@
 //! connectivity precomputation), the *per-seed draw streams* (churn and
 //! omission draws keyed on the run seed), and the *per-run delivery state*
 //! (delay pipes, round cursor, statistics). Only the first is shared across
-//! the lanes of a batch — and it is by far the most expensive to build and
-//! the only part that costs per-round allocations on the churn path.
+//! the lanes of a batch — and it is by far the most expensive to build.
 //!
 //! [`SharedRealization`] splits the bundle: it holds the seed-independent
-//! structure once per batch (closed-neighbourhood lists, compiled fault
-//! matrices, per-phase connectivity) plus reusable round scratch,
-//! while each lane carries only a tiny [`LaneDelivery`] (seed, round
-//! cursor, delay pipes when the plan needs them). A lane round is served by
-//! [`SharedRealization::exchange_rows`], which classifies and accounts
-//! every slot exactly as the scalar exchange would — same statistics
-//! counters, same omission/churn draw streams, same delay buffering — but
-//! assembles each active receiver's delivered values, already sorted, into
-//! packed [`DeliveryRows`] instead of an `n × n` slot matrix, skipping the
-//! quadratic outbox materialization for broadcasting senders via
-//! [`LaneSend`] classification. The round's broadcast values are sorted
-//! once; a receiver's row marks the ranks it received in a bitset and
-//! merges in its few other values (see [`DeliveryRows`]).
+//! structure once per batch (every graph as per-receiver sender bitmask
+//! rows, compiled fault matrices, per-phase connectivity) plus reusable
+//! round scratch, while each lane carries only a tiny [`LaneDelivery`]
+//! (seed, round cursor, delay pipes when the plan needs them). A lane round
+//! is served by [`SharedRealization::exchange_rows`], which classifies and
+//! accounts every slot exactly as the scalar exchange would — same
+//! statistics counters, same omission/churn draw streams, same delay
+//! buffering — but assembles each active receiver's delivered values,
+//! already sorted, into packed [`DeliveryRows`] instead of an `n × n` slot
+//! matrix, skipping the quadratic outbox materialization for broadcasting
+//! senders via [`LaneSend`] classification.
+//!
+//! Every stage of a lane round is a walk over `⌈n/64⌉`-word masks: row `r`
+//! of a graph has bit `s` set when `r` hears `s` (itself included). The
+//! round's broadcast values are sorted once and their senders form a
+//! broadcaster mask; a receiver's row ANDed with it yields the ranks it
+//! received, and the rest of the row names the few silent or per-receiver
+//! senders (see [`DeliveryRows`]). Without delayed links the same walk
+//! serves static graphs, periodic phases and churn, drawing link omissions
+//! per delivered message when the plan is lossy.
 //!
 //! Only *seed-invariant* descriptions are shareable: a
 //! [`Topology::RandomRegular`] realizes differently per lane seed, so
 //! [`SharedRealization::try_build`] refuses it (anywhere — as the static
 //! graph, a periodic phase, or a churn base) and the engine falls back to
 //! one scalar network per lane. Seeded churn *is* shareable: the base graph
-//! is realized once into neighbour lists, and the per-`(seed, round, link)`
-//! down-draws are replayed per lane over the base's edges against the
-//! crate-internal draw primitive, so the realized per-round graphs match
-//! the scalar path bit for bit; the round's connectivity check and
-//! delivery walk the same lists.
+//! is realized once into mask rows, each lane round copies them and clears
+//! the links whose per-`(seed, round, link)` draw comes up down — the same
+//! draw stream as the scalar path, bit for bit — and a bitset flood counts
+//! the round graph's components.
 
 use std::collections::VecDeque;
-use std::ops::Range;
 
 use mbaa_types::{Error, ProcessId, Result, Round, Value};
 
-use crate::faults::{churn_link_down, omission_lost, RealizedKind};
+use crate::faults::{churn_draws, omission_lost, RealizedKind};
 use crate::network::SendOutcome;
 use crate::{
     Adjacency, CompiledLinkFaults, DisconnectionPolicy, LinkFaultPlan, NetworkStats, Outbox,
@@ -80,19 +84,31 @@ impl LaneSend {
     }
 }
 
+/// Calls `f` with the index of every set bit of `word`, ascending, where
+/// `word` is word `w` of a bitset.
+#[inline]
+fn for_each_bit(w: usize, mut word: u64, mut f: impl FnMut(usize)) {
+    while word != 0 {
+        f(w * 64 + word.trailing_zeros() as usize);
+        word &= word - 1;
+    }
+}
+
 /// Packed per-receiver delivery rows of one lane round, assembled already
 /// sorted: row `i` holds the values delivered to the `i`-th *active*
 /// receiver, ascending, back to back in one flat buffer sized once at `n²`.
 ///
 /// A lane round sorts its broadcasting senders' values **once**:
-/// `sorted[pos]` holds them ascending and `rank[sender]` is each
-/// broadcaster's position. A receiver's row is that buffer filtered by the
-/// broadcasts the receiver actually got — one bit per rank in an
-/// `n/64`-word bitset, walked in order — merged with its few other
-/// deliveries ("extras": per-receiver slots and delayed arrivals), which
-/// are sorted on their own. On the unmasked complete graph every row takes
-/// every broadcast, so [`DeliveryRows::push_full_row`] merges the whole
-/// buffer, without a bitset.
+/// `sorted[pos]` holds them ascending, `rank[sender]` is each
+/// broadcaster's position, and the broadcasters form an `n/64`-word sender
+/// mask. A receiver's row is that buffer filtered by the broadcasts the
+/// receiver actually got — its graph row ANDed with the broadcaster mask,
+/// each sender's bit moved to its rank in a second bitset that is walked
+/// in order — merged with its few other deliveries ("extras": per-receiver
+/// slots and delayed arrivals), which are sorted on their own. On the
+/// unmasked complete graph every row takes every broadcast, so
+/// [`DeliveryRows::push_full_row`] merges the whole buffer, without a
+/// bitset.
 ///
 /// Every [`Value`] constructor maps `-0.0` to `+0.0`, so values that
 /// compare equal are bit-identical and a row assembled this way equals a
@@ -116,6 +132,8 @@ pub struct DeliveryRows {
     broadcasts: usize,
     /// `rank[sender]`: the position of a broadcaster's value in `sorted`.
     rank: Vec<u32>,
+    /// The round's broadcasters as a sender mask.
+    broadcasters: Vec<u64>,
     /// The row being assembled: the ranks of its delivered broadcasts ...
     bits: Vec<u64>,
     /// ... and its other delivered values.
@@ -139,6 +157,7 @@ impl DeliveryRows {
             sorted: vec![Value::ZERO; n],
             broadcasts: 0,
             rank: vec![0; n],
+            broadcasters: vec![0; n.div_ceil(64)],
             bits: vec![0; n.div_ceil(64)],
             extras: vec![Value::ZERO; n],
             extras_len: 0,
@@ -147,7 +166,7 @@ impl DeliveryRows {
 
     /// Starts a lane round: clears the arena and sorts the values of the
     /// `Broadcast` senders in `sends` once, for every row of the round,
-    /// recording each broadcaster's rank.
+    /// recording each broadcaster's rank and the broadcaster mask.
     ///
     /// # Panics
     ///
@@ -156,11 +175,16 @@ impl DeliveryRows {
     pub fn sort_broadcasts(&mut self, sends: &[LaneSend]) {
         self.clear();
         let mut len = 0;
-        for (sender, send) in sends.iter().enumerate() {
-            if let LaneSend::Broadcast(value) = *send {
-                self.ranked[len] = (value, sender as u32);
-                len += 1;
+        for (w, chunk) in sends.chunks(64).enumerate() {
+            let mut word = 0;
+            for (i, send) in chunk.iter().enumerate() {
+                if let LaneSend::Broadcast(value) = *send {
+                    self.ranked[len] = (value, (w * 64 + i) as u32);
+                    word |= 1 << i;
+                    len += 1;
+                }
             }
+            self.broadcasters[w] = word;
         }
         let ranked = &mut self.ranked[..len];
         ranked.sort_unstable_by_key(|&(value, _)| value);
@@ -177,13 +201,20 @@ impl DeliveryRows {
         self.uniform = true;
     }
 
+    /// Marks the broadcast of `sender` as delivered to the row being
+    /// assembled.
+    #[inline]
+    fn mark(&mut self, sender: usize) {
+        let pos = self.rank[sender] as usize;
+        self.bits[pos / 64] |= 1 << (pos % 64);
+    }
+
     /// Adds `value`, delivered from `sender` this round, to the row being
     /// assembled: a broadcast by its rank bit, anything else as an extra.
     #[inline]
     fn deliver(&mut self, send: LaneSend, sender: usize, value: Value) {
         if let LaneSend::Broadcast(_) = send {
-            let pos = self.rank[sender] as usize;
-            self.bits[pos / 64] |= 1 << (pos % 64);
+            self.mark(sender);
         } else {
             self.deliver_extra(value);
         }
@@ -204,12 +235,10 @@ impl DeliveryRows {
         let start = self.total;
         let mut len = 0;
         for (w, word) in self.bits.iter_mut().enumerate() {
-            let mut bits = std::mem::take(word);
-            while bits != 0 {
-                self.merged[start + len] = self.sorted[w * 64 + bits.trailing_zeros() as usize];
+            for_each_bit(w, std::mem::take(word), |pos| {
+                self.merged[start + len] = self.sorted[pos];
                 len += 1;
-                bits &= bits - 1;
-            }
+            });
         }
         let extras = &mut self.extras[..self.extras_len];
         extras.sort_unstable();
@@ -348,57 +377,38 @@ impl LaneDelivery {
     }
 }
 
-/// One static graph with its precomputed closed in-neighbourhood lists:
-/// `neighbors[offsets[r]..offsets[r + 1]]` are the senders receiver `r`
-/// hears (itself included), ascending.
-#[derive(Debug)]
-struct StaticGraph {
-    neighbors: Vec<u32>,
-    offsets: Vec<u32>,
+/// One graph as per-receiver sender bitmask rows: `words = ⌈n/64⌉` words
+/// per receiver, bit `s` of row `r` set when `r` hears `s` (itself
+/// included). Graphs here are symmetric, so row `r` is also `r`'s
+/// neighbourhood.
+#[derive(Debug, Clone)]
+struct MaskRows {
+    n: usize,
+    words: usize,
+    bits: Vec<u64>,
 }
 
-impl StaticGraph {
+impl MaskRows {
     fn new(adjacency: &Adjacency) -> Self {
         let n = adjacency.n();
-        let mut neighbors = Vec::new();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0);
+        let words = n.div_ceil(64);
+        let mut bits = vec![0; n * words];
         for r in 0..n {
             for (s, &linked) in adjacency.row(ProcessId::new(r)).iter().enumerate() {
                 if linked {
-                    neighbors.push(s as u32);
+                    bits[r * words + s / 64] |= 1 << (s % 64);
                 }
             }
-            offsets.push(neighbors.len() as u32);
         }
-        StaticGraph { neighbors, offsets }
+        MaskRows { n, words, bits }
     }
 
-    /// The indices into `neighbors` of receiver `r`'s list.
-    fn span(&self, r: usize) -> Range<usize> {
-        self.offsets[r] as usize..self.offsets[r + 1] as usize
+    fn row(&self, r: usize) -> &[u64] {
+        &self.bits[r * self.words..(r + 1) * self.words]
     }
 
-    fn closed_neighborhood(&self, r: usize) -> &[u32] {
-        &self.neighbors[self.span(r)]
-    }
-
-    /// For a symmetric graph: `mirror[i]` is the index of the reverse
-    /// entry of list entry `i` (entry `b` in `a`'s list ↦ entry `a` in
-    /// `b`'s list).
-    fn mirrors(&self) -> Vec<u32> {
-        let mut mirror = vec![0; self.neighbors.len()];
-        for a in 0..self.offsets.len() - 1 {
-            for i in self.span(a) {
-                let b = self.neighbors[i] as usize;
-                let back = self
-                    .closed_neighborhood(b)
-                    .binary_search(&(a as u32))
-                    .expect("the graph is symmetric");
-                mirror[i] = (self.offsets[b] as usize + back) as u32;
-            }
-        }
-        mirror
+    fn hears(&self, r: usize, s: usize) -> bool {
+        self.bits[r * self.words + s / 64] >> (s % 64) & 1 == 1
     }
 }
 
@@ -406,19 +416,8 @@ impl StaticGraph {
 /// per batch instead of once per lane round.
 #[derive(Debug)]
 struct PhaseGraph {
-    graph: StaticGraph,
-    connected: bool,
+    graph: MaskRows,
     components: usize,
-}
-
-impl PhaseGraph {
-    fn new(adjacency: &Adjacency) -> Self {
-        PhaseGraph {
-            graph: StaticGraph::new(adjacency),
-            connected: adjacency.is_connected(),
-            components: adjacency.component_count(),
-        }
-    }
 }
 
 /// The per-round graph rule of a shared dynamic realization.
@@ -428,35 +427,23 @@ enum DynGraphs {
     /// single-phase case.
     Phases(Vec<PhaseGraph>),
     /// Round-indexed churn over a shared base; the per-`(seed, round,
-    /// link)` down-draws are replayed per lane over the base's edges only.
-    /// `mirror` (see [`StaticGraph::mirrors`]) lets one draw switch both
-    /// list entries of an undirected link.
+    /// link)` down-draws are replayed per lane over the base's links only.
     Churn {
-        base: StaticGraph,
-        mirror: Vec<u32>,
+        base: MaskRows,
         flip_rate: f64,
+        /// Scratch, overwritten every lane round: the churned round graph
+        /// and the state of its connectivity flood.
+        graph: MaskRows,
+        visited: Vec<u64>,
+        stack: Vec<u32>,
     },
-}
-
-/// Reusable per-round scratch of the dynamic path, shared across lanes —
-/// each lane round overwrites it completely.
-#[derive(Debug)]
-struct DynScratch {
-    /// Churn only: `up[i]` is whether base-list entry `i` is linked this
-    /// round (self-entries always are).
-    up: Vec<bool>,
-    /// Churn only: the BFS state of the round's connectivity check.
-    visited: Vec<bool>,
-    stack: Vec<u32>,
-    /// Delayed links only: one receiver's reachability row, `reach[s]`.
-    reach: Vec<bool>,
 }
 
 #[derive(Debug)]
 enum SharedKind {
-    /// A static graph under a clean fault plan: the closed-form static
-    /// exchange, one accounting line per receiver.
-    Static(StaticGraph),
+    /// A static graph under a clean fault plan: no round cursor, no
+    /// connectivity check.
+    Static(MaskRows),
     /// The dynamic path: per-round graphs and/or per-link faults.
     Dynamic {
         graphs: DynGraphs,
@@ -464,7 +451,6 @@ enum SharedKind {
         policy: DisconnectionPolicy,
         /// The largest compiled delay; 0 skips the pipe machinery entirely.
         max_delay: usize,
-        scratch: DynScratch,
     },
 }
 
@@ -491,61 +477,142 @@ fn schedule_seed_invariant(schedule: &TopologySchedule) -> bool {
     }
 }
 
-/// Draws one lane round of churn over the base graph's edges into `up`:
-/// each undirected link `a < b` is drawn once (a pure hash of
-/// `(seed, round, a, b)`, so the visiting order is irrelevant) and both of
-/// its list entries take the result.
-fn draw_churn(
-    base: &StaticGraph,
-    mirror: &[u32],
-    seed: u64,
-    round: u64,
-    flip_rate: f64,
-    up: &mut [bool],
-) {
-    for a in 0..base.offsets.len() - 1 {
-        for i in base.span(a) {
-            let b = base.neighbors[i] as usize;
-            if b == a {
-                up[i] = true;
-            } else if b > a {
-                let linked = !churn_link_down(seed, round, a, b, flip_rate);
-                up[i] = linked;
-                up[mirror[i] as usize] = linked;
+/// Draws one lane round of churn into `graph`: the base rows, less every
+/// link `a — b` whose draw comes up down. Each undirected link is drawn
+/// once, from its lower end (a pure hash of `(seed, round, a, b)`, so the
+/// visiting order is irrelevant), and cleared from both rows.
+// mbaa: alloc-free
+fn draw_churn(base: &MaskRows, graph: &mut MaskRows, seed: u64, round: u64, flip_rate: f64) {
+    graph.bits.copy_from_slice(&base.bits);
+    let words = base.words;
+    for a in 0..base.n {
+        let down = churn_draws(seed, round, a, flip_rate);
+        let (aw, abit) = (a / 64, 1u64 << (a % 64));
+        for w in aw..words {
+            let mut above = base.bits[a * words + w];
+            if w == aw {
+                above &= (!0 << (a % 64)) << 1;
             }
+            let mut dropped = 0;
+            for_each_bit(w, above, |b| {
+                if down(b) {
+                    dropped |= 1 << (b % 64);
+                }
+            });
+            graph.bits[a * words + w] &= !dropped;
+            for_each_bit(w, dropped, |b| graph.bits[b * words + aw] &= !abit);
         }
     }
 }
 
-/// Counts the connected components of the churned round graph — the base
-/// lists filtered by `up` — the allocation-free equivalent of
-/// [`Adjacency::component_count`] on it.
-fn churn_components(
-    base: &StaticGraph,
-    up: &[bool],
-    visited: &mut [bool],
-    stack: &mut Vec<u32>,
-) -> usize {
-    visited.fill(false);
+/// Counts the connected components of the symmetric `graph` — a flood from
+/// every process not yet reached, each step taking `row & !visited` — the
+/// allocation-free equivalent of [`Adjacency::component_count`] on it.
+// mbaa: alloc-free
+fn count_components(graph: &MaskRows, visited: &mut [u64], stack: &mut [u32]) -> usize {
+    visited.fill(0);
     let mut components = 0;
-    for start in 0..visited.len() {
-        if visited[start] {
+    for start in 0..graph.n {
+        if visited[start / 64] >> (start % 64) & 1 == 1 {
             continue;
         }
         components += 1;
-        visited[start] = true;
-        stack.push(start as u32);
-        while let Some(node) = stack.pop() {
-            for i in base.span(node as usize) {
-                let next = base.neighbors[i] as usize;
-                if up[i] && !visited[next] {
-                    visited[next] = true;
-                    stack.push(next as u32);
-                }
+        visited[start / 64] |= 1 << (start % 64);
+        stack[0] = start as u32;
+        let mut top = 1;
+        while top > 0 {
+            top -= 1;
+            let node = stack[top] as usize;
+            for (w, (&row, seen)) in graph.row(node).iter().zip(visited.iter_mut()).enumerate() {
+                let reached = row & !*seen;
+                *seen |= reached;
+                for_each_bit(w, reached, |next| {
+                    stack[top] = next as u32;
+                    top += 1;
+                });
             }
         }
     }
     components
+}
+
+/// The seed-keyed omission draws of a lossy plan in one lane round.
+#[derive(Clone, Copy)]
+struct Losses<'a> {
+    faults: &'a CompiledLinkFaults,
+    seed: u64,
+    round: u64,
+}
+
+impl Losses<'_> {
+    fn lost(self, s: usize, r: usize) -> bool {
+        omission_lost(self.seed, self.round, s, r, self.faults.omit_at(s, r))
+    }
+}
+
+/// The delivery walk of one round graph without delay pipes, shared by
+/// static graphs, periodic phases and churn. Receiver `r`'s graph row
+/// ANDed with the broadcaster mask names the broadcasts it hears — marked
+/// by rank and counted by popcount, or drawn one by one against `losses`
+/// under a lossy plan — and the rest of the row the few silent or
+/// per-receiver senders, whose slots are read one by one. Accounting
+/// follows the scalar exchange exactly.
+// mbaa: alloc-free
+fn deliver_masked(
+    graph: &MaskRows,
+    losses: Option<Losses<'_>>,
+    sends: &[LaneSend],
+    outboxes: &[Outbox],
+    active: &[bool],
+    rows: &mut DeliveryRows,
+    stats: &mut NetworkStats,
+) {
+    let n = active.len();
+    for (r, &row_active) in active.iter().enumerate() {
+        let receiver = ProcessId::new(r);
+        let lost = |s: usize| losses.is_some_and(|losses| losses.lost(s, r));
+        let (mut heard, mut marked, mut dropped_total) = (0, 0, 0);
+        for (w, &word) in graph.row(r).iter().enumerate() {
+            // Sparse graphs leave most words of a row empty.
+            if word == 0 {
+                continue;
+            }
+            heard += word.count_ones();
+            let broadcasts = word & rows.broadcasters[w];
+            let mut dropped = 0;
+            if losses.is_some() {
+                for_each_bit(w, broadcasts, |s| {
+                    if lost(s) {
+                        dropped |= 1 << (s % 64);
+                    }
+                });
+            }
+            let delivered = broadcasts & !dropped;
+            marked += delivered.count_ones();
+            dropped_total += dropped.count_ones();
+            if row_active {
+                for_each_bit(w, delivered, |s| rows.mark(s));
+            }
+            for_each_bit(w, word & !rows.broadcasters[w], |s| {
+                match sends[s].slot(outboxes, receiver) {
+                    None => stats.omissions += 1,
+                    Some(_) if lost(s) => stats.link_omissions += 1,
+                    Some(value) => {
+                        stats.messages_delivered += 1;
+                        if row_active {
+                            rows.deliver_extra(value);
+                        }
+                    }
+                }
+            });
+        }
+        stats.messages_delivered += u64::from(marked);
+        stats.link_omissions += u64::from(dropped_total);
+        stats.unreachable += n as u64 - u64::from(heard);
+        if row_active {
+            rows.push_row(r);
+        }
+    }
 }
 
 impl SharedRealization {
@@ -574,7 +641,7 @@ impl SharedRealization {
             let adjacency = topology.realize(n, 0).ok()?;
             return Some(SharedRealization {
                 n,
-                kind: SharedKind::Static(StaticGraph::new(&adjacency)),
+                kind: SharedKind::Static(MaskRows::new(&adjacency)),
             });
         }
         let implied;
@@ -597,41 +664,31 @@ impl SharedRealization {
             let adjacency = realized.adjacency_at(Round::ZERO).into_owned();
             return Some(SharedRealization {
                 n,
-                kind: SharedKind::Static(StaticGraph::new(&adjacency)),
+                kind: SharedKind::Static(MaskRows::new(&adjacency)),
             });
         }
         let max_delay = faults.compiled_max_delay();
+        let phase = |adjacency: &Adjacency| PhaseGraph {
+            graph: MaskRows::new(adjacency),
+            components: adjacency.component_count(),
+        };
         let graphs = match realized.kind() {
-            RealizedKind::Static(adjacency) => DynGraphs::Phases(vec![PhaseGraph::new(adjacency)]),
-            RealizedKind::Periodic(phases) => {
-                DynGraphs::Phases(phases.iter().map(PhaseGraph::new).collect())
-            }
+            RealizedKind::Static(adjacency) => DynGraphs::Phases(vec![phase(adjacency)]),
+            RealizedKind::Periodic(phases) => DynGraphs::Phases(phases.iter().map(phase).collect()),
             // Frozen churn realizes the base every round.
             RealizedKind::Churn { base, flip_rate } if *flip_rate == 0.0 => {
-                DynGraphs::Phases(vec![PhaseGraph::new(base)])
+                DynGraphs::Phases(vec![phase(base)])
             }
             RealizedKind::Churn { base, flip_rate } => {
-                let base = StaticGraph::new(base);
+                let base = MaskRows::new(base);
                 DynGraphs::Churn {
-                    mirror: base.mirrors(),
+                    graph: base.clone(),
+                    visited: vec![0; base.words],
+                    stack: vec![0; n],
                     base,
                     flip_rate: *flip_rate,
                 }
             }
-        };
-        let scratch = match &graphs {
-            DynGraphs::Churn { base, .. } => DynScratch {
-                up: vec![false; base.neighbors.len()],
-                visited: vec![false; n],
-                stack: Vec::with_capacity(n),
-                reach: vec![false; n],
-            },
-            DynGraphs::Phases(_) => DynScratch {
-                up: Vec::new(),
-                visited: Vec::new(),
-                stack: Vec::new(),
-                reach: vec![false; n],
-            },
         };
         Some(SharedRealization {
             n,
@@ -640,7 +697,6 @@ impl SharedRealization {
                 faults,
                 policy,
                 max_delay,
-                scratch,
             },
         })
     }
@@ -689,9 +745,8 @@ impl SharedRealization {
     /// # Panics
     ///
     /// Panics if `sends` or `active` do not cover the universe.
-    // The loops below walk receiver/sender indices into several parallel
-    // flat n²-strided arrays at once; iterator zips would obscure the
-    // statement-for-statement mirror of the scalar exchange.
+    // The delayed loop walks receiver/sender indices into several flat
+    // n²-strided arrays at once, mirroring the scalar exchange.
     #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
     // mbaa: alloc-free
     pub fn exchange_rows(
@@ -708,196 +763,131 @@ impl SharedRealization {
         assert_eq!(sends.len(), n, "one send classification per process");
         assert_eq!(active.len(), n, "one active flag per process");
         rows.sort_broadcasts(sends);
-        match &mut self.kind {
+        let (graphs, faults, policy, max_delay) = match &mut self.kind {
             SharedKind::Static(graph) => {
+                deliver_masked(graph, None, sends, outboxes, active, rows, stats);
                 stats.rounds += 1;
-                for r in 0..n {
-                    let receiver = ProcessId::new(r);
-                    let row_active = active[r];
-                    let hood = graph.closed_neighborhood(r);
-                    let reachable = hood.len() as u64;
-                    let mut delivered = 0u64;
-                    for &s in hood {
-                        let s = s as usize;
-                        if let Some(value) = sends[s].slot(outboxes, receiver) {
-                            delivered += 1;
-                            if row_active {
-                                rows.deliver(sends[s], s, value);
-                            }
-                        }
-                    }
-                    if row_active {
-                        rows.push_row(r);
-                    }
-                    stats.messages_delivered += delivered;
-                    stats.omissions += reachable - delivered;
-                    stats.unreachable += n as u64 - reachable;
-                }
-                Ok(())
+                return Ok(());
             }
             SharedKind::Dynamic {
                 graphs,
                 faults,
                 policy,
                 max_delay,
-                scratch,
+            } => (graphs, &*faults, *policy, *max_delay),
+        };
+        if round.index() != lane.next_round {
+            // mbaa: allow(hot-path/allocation, cold misuse error path)
+            return Err(Error::InvalidParameter(format!(
+                "a dynamic network exchanges rounds in order: expected r{}, got {round} \
+                 (delay buffers advance once per round)",
+                lane.next_round
+            )));
+        }
+        lane.next_round += 1;
+        let seed = lane.seed;
+
+        // Resolve the round's graph and its connectivity. Phases were
+        // precomputed at build; churn redraws its base links from the lane
+        // seed, exactly the scalar draw stream.
+        let (graph, components) = match graphs {
+            DynGraphs::Phases(phases) => {
+                let phase = &phases[(round.index() % phases.len() as u64) as usize];
+                (&phase.graph, phase.components)
+            }
+            DynGraphs::Churn {
+                base,
+                flip_rate,
+                graph,
+                visited,
+                stack,
             } => {
-                if round.index() != lane.next_round {
-                    // mbaa: allow(hot-path/allocation, cold misuse error path)
-                    return Err(Error::InvalidParameter(format!(
-                        "a dynamic network exchanges rounds in order: expected r{}, got {round} \
-                         (delay buffers advance once per round)",
-                        lane.next_round
-                    )));
+                draw_churn(base, graph, seed, round.index(), *flip_rate);
+                let components = count_components(graph, visited, stack);
+                (&*graph, components)
+            }
+        };
+        if components != 1 {
+            match policy {
+                DisconnectionPolicy::Reject => {
+                    return Err(Error::DisconnectedRound { round, components });
                 }
-                lane.next_round += 1;
-                let seed = lane.seed;
-                let DynScratch {
-                    up,
-                    visited,
-                    stack,
-                    reach,
-                } = scratch;
-
-                // Resolve the round's graph — neighbour lists, plus under
-                // churn the round's `up` flags over them — and its
-                // connectivity. Phases were precomputed at build; churn
-                // redraws its base edges from the lane seed, exactly the
-                // scalar draw stream.
-                let (graph, up, connected, components) = match graphs {
-                    DynGraphs::Phases(phases) => {
-                        let phase = &phases[(round.index() % phases.len() as u64) as usize];
-                        (&phase.graph, None, phase.connected, phase.components)
-                    }
-                    DynGraphs::Churn {
-                        base,
-                        mirror,
-                        flip_rate,
-                    } => {
-                        draw_churn(base, mirror, seed, round.index(), *flip_rate, up);
-                        let components = churn_components(base, up, visited, stack);
-                        (&*base, Some(&up[..]), components == 1, components)
-                    }
-                };
-                let linked = |i: usize| up.is_none_or(|up| up[i]);
-                if !connected {
-                    match policy {
-                        DisconnectionPolicy::Reject => {
-                            return Err(Error::DisconnectedRound { round, components });
-                        }
-                        DisconnectionPolicy::Record => stats.disconnected_rounds += 1,
-                    }
-                }
-
-                if *max_delay == 0 {
-                    // No link ever buffers: classify and account each slot
-                    // immediately, walking only the round graph's lists.
-                    for r in 0..n {
-                        let receiver = ProcessId::new(r);
-                        let row_active = active[r];
-                        let span = graph.span(r);
-                        stats.unreachable += (n - span.len()) as u64;
-                        for i in span {
-                            if !linked(i) {
-                                stats.unreachable += 1;
-                                continue;
-                            }
-                            let s = graph.neighbors[i] as usize;
-                            let Some(value) = sends[s].slot(outboxes, receiver) else {
-                                stats.omissions += 1;
-                                continue;
-                            };
-                            if omission_lost(seed, round.index(), s, r, faults.omit_at(s, r)) {
-                                stats.link_omissions += 1;
-                                continue;
-                            }
-                            stats.messages_delivered += 1;
-                            if row_active {
-                                rows.deliver(sends[s], s, value);
-                            }
-                        }
-                        if row_active {
-                            rows.push_row(r);
-                        }
-                    }
-                } else {
-                    // Delayed links buffer every outcome — even structural
-                    // ones — so all n² slots must be visited, mirroring the
-                    // scalar dynamic loop statement for statement.
-                    for r in 0..n {
-                        let receiver = ProcessId::new(r);
-                        let row_active = active[r];
-                        reach.fill(false);
-                        for i in graph.span(r) {
-                            if linked(i) {
-                                reach[graph.neighbors[i] as usize] = true;
-                            }
-                        }
-                        for s in 0..n {
-                            let delay = faults.delay_at(s, r);
-                            let sent = if !reach[s] {
-                                SendOutcome::Unreachable
-                            } else {
-                                match sends[s].slot(outboxes, receiver) {
-                                    None => SendOutcome::SenderOmitted,
-                                    Some(value) => {
-                                        if omission_lost(
-                                            seed,
-                                            round.index(),
-                                            s,
-                                            r,
-                                            faults.omit_at(s, r),
-                                        ) {
-                                            SendOutcome::LinkOmitted
-                                        } else {
-                                            SendOutcome::Value(value)
-                                        }
-                                    }
-                                }
-                            };
-                            let arrived = if delay == 0 {
-                                Some(sent)
-                            } else {
-                                let pipe = &mut lane.pipes[s * n + r];
-                                // mbaa: allow(hot-path/vec-growth, the pipe is popped whenever len > delay, so it holds at most delay + 1 entries after the first delay rounds)
-                                pipe.push_back(sent);
-                                if pipe.len() > delay {
-                                    Some(pipe.pop_front().expect("pipe holds > delay entries"))
-                                } else {
-                                    None
-                                }
-                            };
-                            match arrived {
-                                Some(SendOutcome::Value(value)) => {
-                                    stats.messages_delivered += 1;
-                                    if delay > 0 {
-                                        stats.link_delayed += 1;
-                                    }
-                                    if row_active {
-                                        if delay == 0 {
-                                            rows.deliver(sends[s], s, value);
-                                        } else {
-                                            // Sent in an earlier round: not
-                                            // one of this round's ranks.
-                                            rows.deliver_extra(value);
-                                        }
-                                    }
-                                }
-                                Some(SendOutcome::SenderOmitted) => stats.omissions += 1,
-                                Some(SendOutcome::Unreachable) => stats.unreachable += 1,
-                                Some(SendOutcome::LinkOmitted) => stats.link_omissions += 1,
-                                None => stats.link_pending += 1,
-                            }
-                        }
-                        if row_active {
-                            rows.push_row(r);
-                        }
-                    }
-                }
-                stats.rounds += 1;
-                Ok(())
+                DisconnectionPolicy::Record => stats.disconnected_rounds += 1,
             }
         }
+
+        if max_delay == 0 {
+            let losses = faults.lossy().then_some(Losses {
+                faults,
+                seed,
+                round: round.index(),
+            });
+            deliver_masked(graph, losses, sends, outboxes, active, rows, stats);
+            stats.rounds += 1;
+            return Ok(());
+        }
+        // Delayed links buffer every outcome — even structural ones — so
+        // all n² slots must be visited, mirroring the scalar dynamic loop
+        // statement for statement.
+        for r in 0..n {
+            let receiver = ProcessId::new(r);
+            let row_active = active[r];
+            for s in 0..n {
+                let delay = faults.delay_at(s, r);
+                let sent = if !graph.hears(r, s) {
+                    SendOutcome::Unreachable
+                } else {
+                    match sends[s].slot(outboxes, receiver) {
+                        None => SendOutcome::SenderOmitted,
+                        Some(value) => {
+                            if omission_lost(seed, round.index(), s, r, faults.omit_at(s, r)) {
+                                SendOutcome::LinkOmitted
+                            } else {
+                                SendOutcome::Value(value)
+                            }
+                        }
+                    }
+                };
+                let arrived = if delay == 0 {
+                    Some(sent)
+                } else {
+                    let pipe = &mut lane.pipes[s * n + r];
+                    // mbaa: allow(hot-path/vec-growth, the pipe is popped whenever len > delay, so it holds at most delay + 1 entries after the first delay rounds)
+                    pipe.push_back(sent);
+                    if pipe.len() > delay {
+                        Some(pipe.pop_front().expect("pipe holds > delay entries"))
+                    } else {
+                        None
+                    }
+                };
+                match arrived {
+                    Some(SendOutcome::Value(value)) => {
+                        stats.messages_delivered += 1;
+                        if delay > 0 {
+                            stats.link_delayed += 1;
+                        }
+                        if row_active {
+                            if delay == 0 {
+                                rows.deliver(sends[s], s, value);
+                            } else {
+                                // Sent in an earlier round: not one of this
+                                // round's ranks.
+                                rows.deliver_extra(value);
+                            }
+                        }
+                    }
+                    Some(SendOutcome::SenderOmitted) => stats.omissions += 1,
+                    Some(SendOutcome::Unreachable) => stats.unreachable += 1,
+                    Some(SendOutcome::LinkOmitted) => stats.link_omissions += 1,
+                    None => stats.link_pending += 1,
+                }
+            }
+            if row_active {
+                rows.push_row(r);
+            }
+        }
+        stats.rounds += 1;
+        Ok(())
     }
 }
 
@@ -1015,17 +1005,23 @@ mod tests {
         assert_eq!(only_extras, [v(-1.0), v(2.0)]);
     }
 
+    /// Universes whose masks fit in one word, fill one word exactly, spill
+    /// one bit into a second word, and span three words.
+    const UNIVERSES: [usize; 4] = [9, 64, 65, 130];
+
     #[test]
     fn static_masked_delivery_matches_scalar() {
-        assert_matches_scalar(
-            &Topology::Ring { k: 2 },
-            None,
-            &LinkFaultPlan::new(),
-            DisconnectionPolicy::Record,
-            9,
-            3,
-            5,
-        );
+        for n in UNIVERSES {
+            assert_matches_scalar(
+                &Topology::Ring { k: 2 },
+                None,
+                &LinkFaultPlan::new(),
+                DisconnectionPolicy::Record,
+                n,
+                3,
+                5,
+            );
+        }
     }
 
     #[test]
@@ -1047,99 +1043,111 @@ mod tests {
             base: Topology::Complete,
             flip_rate: 0.4,
         };
-        for seed in [2, 9, 40] {
-            assert_matches_scalar(
-                &Topology::Complete,
-                Some(&schedule),
-                &LinkFaultPlan::new(),
-                DisconnectionPolicy::Record,
-                8,
-                seed,
-                12,
-            );
-        }
-    }
-
-    #[test]
-    fn churned_partial_bases_match_scalar() {
-        // A churn base with missing links: draws run over the base's
-        // neighbour lists only, and both entries of a link share a draw.
-        let schedule = TopologySchedule::SeededChurn {
-            base: Topology::Ring { k: 2 },
-            flip_rate: 0.3,
-        };
-        for seed in [1, 4] {
-            for plan in [
-                LinkFaultPlan::new(),
-                LinkFaultPlan::new().omit_all(0.2).delay(1, 2, 2),
-            ] {
+        for n in UNIVERSES {
+            for seed in [2, 9, 40] {
                 assert_matches_scalar(
                     &Topology::Complete,
                     Some(&schedule),
-                    &plan,
+                    &LinkFaultPlan::new(),
                     DisconnectionPolicy::Record,
-                    12,
+                    n,
                     seed,
-                    10,
+                    12,
                 );
             }
         }
     }
 
     #[test]
-    fn rejected_churn_rounds_report_the_scalar_component_count() {
-        let n = 12;
+    fn churned_partial_bases_match_scalar() {
+        // A churn base with missing links: draws run over the base's
+        // links only, and both mask rows of a link share a draw. The plans:
+        // clean, lossy without delays (the mask walk draws omissions), and
+        // lossy with a delayed link (the pipe loop).
         let schedule = TopologySchedule::SeededChurn {
             base: Topology::Ring { k: 2 },
-            flip_rate: 0.35,
+            flip_rate: 0.3,
         };
-        let plan = LinkFaultPlan::new();
-        let mut rejected = 0;
-        for seed in 0..8 {
-            let mut scalar = SyncNetwork::with_dynamics(
-                schedule.realize(n, seed).unwrap(),
-                &plan,
-                DisconnectionPolicy::Reject,
-                seed,
-            )
-            .unwrap()
-            .with_trace_recording(false);
-            let mut shared = SharedRealization::try_build(
-                n,
-                &Topology::Complete,
-                Some(&schedule),
-                &plan,
-                DisconnectionPolicy::Reject,
-            )
-            .unwrap();
-            let mut lane = shared.lane(seed);
-            let mut rows = DeliveryRows::new(n);
-            let mut stats = NetworkStats::new();
-            for round in 0..20 {
-                let round = Round::new(round);
-                let expected = scalar
-                    .exchange(round, broadcast_outboxes(n))
-                    .map(|_| ())
-                    .map_err(|e| e.to_string());
-                let got = shared
-                    .exchange_rows(
-                        &mut lane,
-                        round,
-                        &broadcast_sends(n),
-                        &broadcast_outboxes(n),
-                        &vec![true; n],
-                        &mut rows,
-                        &mut stats,
-                    )
-                    .map_err(|e| e.to_string());
-                assert_eq!(got, expected, "seed {seed} {round}");
-                if got.is_err() {
-                    rejected += 1;
-                    break;
+        for n in [12, 64, 65, 130] {
+            for seed in [1, 4] {
+                for plan in [
+                    LinkFaultPlan::new(),
+                    LinkFaultPlan::new().omit_all(0.2).omit(1, 0, 1.0),
+                    LinkFaultPlan::new()
+                        .omit_all(0.2)
+                        .delay(1, 2, 2)
+                        .delay(n - 1, 0, 1),
+                ] {
+                    assert_matches_scalar(
+                        &Topology::Complete,
+                        Some(&schedule),
+                        &plan,
+                        DisconnectionPolicy::Record,
+                        n,
+                        seed,
+                        10,
+                    );
                 }
             }
         }
-        assert!(rejected > 0, "no seed produced a disconnected round");
+    }
+
+    #[test]
+    fn rejected_churn_rounds_report_the_scalar_component_count() {
+        // n = 130: the flood crosses three mask words.
+        for n in [12, 130] {
+            let schedule = TopologySchedule::SeededChurn {
+                base: Topology::Ring { k: 2 },
+                flip_rate: 0.35,
+            };
+            let plan = LinkFaultPlan::new();
+            let mut rejected = 0;
+            for seed in 0..8 {
+                let mut scalar = SyncNetwork::with_dynamics(
+                    schedule.realize(n, seed).unwrap(),
+                    &plan,
+                    DisconnectionPolicy::Reject,
+                    seed,
+                )
+                .unwrap()
+                .with_trace_recording(false);
+                let mut shared = SharedRealization::try_build(
+                    n,
+                    &Topology::Complete,
+                    Some(&schedule),
+                    &plan,
+                    DisconnectionPolicy::Reject,
+                )
+                .unwrap();
+                let mut lane = shared.lane(seed);
+                let mut rows = DeliveryRows::new(n);
+                let mut stats = NetworkStats::new();
+                for round in 0..20 {
+                    let round = Round::new(round);
+                    let expected = scalar
+                        .exchange(round, broadcast_outboxes(n))
+                        .map(|_| ())
+                        .map_err(|e| e.to_string());
+                    let got = shared
+                        .exchange_rows(
+                            &mut lane,
+                            round,
+                            &broadcast_sends(n),
+                            &broadcast_outboxes(n),
+                            &vec![true; n],
+                            &mut rows,
+                            &mut stats,
+                        )
+                        .map_err(|e| e.to_string());
+                    assert_eq!(got, expected, "n={n} seed {seed} {round}");
+                    if got.is_err() {
+                        rejected += 1;
+                        break;
+                    }
+                }
+            }
+            assert!(rejected > 0, "n={n}: no seed produced a disconnected round");
+        }
     }
 
     #[test]
@@ -1147,15 +1155,17 @@ mod tests {
         let schedule = TopologySchedule::Periodic {
             phases: vec![Topology::Ring { k: 2 }, Topology::Complete],
         };
-        assert_matches_scalar(
-            &Topology::Complete,
-            Some(&schedule),
-            &LinkFaultPlan::new(),
-            DisconnectionPolicy::Record,
-            9,
-            5,
-            6,
-        );
+        for n in UNIVERSES {
+            assert_matches_scalar(
+                &Topology::Complete,
+                Some(&schedule),
+                &LinkFaultPlan::new(),
+                DisconnectionPolicy::Record,
+                n,
+                5,
+                6,
+            );
+        }
     }
 
     #[test]

@@ -103,6 +103,21 @@ pub(crate) fn churn_link_down(seed: u64, round: u64, a: usize, b: usize, flip_ra
     unit(h) < flip_rate
 }
 
+/// [`churn_link_down`] for the links `a — b`, `b > a`, of one lane round:
+/// the `(seed, round, a)` hash prefix is hoisted out of the per-link draw,
+/// and `unit(h) < flip_rate` is compared as `(h >> 11) < ⌈flip_rate · 2⁵³⌉`
+/// — the same predicate, because both scalings by 2⁵³ are exact.
+pub(crate) fn churn_draws(
+    seed: u64,
+    round: u64,
+    a: usize,
+    flip_rate: f64,
+) -> impl Fn(usize) -> bool {
+    let key = mix(mix(seed ^ CHURN_STREAM, round), a as u64);
+    let threshold = (flip_rate * (1u64 << 53) as f64).ceil() as u64;
+    move |b| (mix(key, b as u64) >> 11) < threshold
+}
+
 /// The deterministic omission draw: returns `true` when the message sent on
 /// the directed link `from -> to` in `round` is lost under `probability`.
 pub(crate) fn omission_lost(
@@ -797,7 +812,13 @@ impl LinkFaultPlan {
                 }
             }
         }
-        Ok(CompiledLinkFaults { n, omit, delay })
+        let lossy = omit.iter().any(|&p| p > 0.0);
+        Ok(CompiledLinkFaults {
+            n,
+            omit,
+            delay,
+            lossy,
+        })
     }
 }
 
@@ -817,6 +838,8 @@ pub struct CompiledLinkFaults {
     n: usize,
     omit: Vec<f64>,
     delay: Vec<usize>,
+    /// Whether any link has a positive omission probability.
+    lossy: bool,
 }
 
 impl CompiledLinkFaults {
@@ -859,7 +882,7 @@ impl CompiledLinkFaults {
     /// an (effectively) clean plan.
     #[must_use]
     pub fn is_clean(&self) -> bool {
-        self.omit.iter().all(|&p| p == 0.0) && self.delay.iter().all(|&d| d == 0)
+        !self.lossy && self.delay.iter().all(|&d| d == 0)
     }
 
     /// The directed links whose omission probability is 1 — severed
@@ -878,6 +901,11 @@ impl CompiledLinkFaults {
 
     pub(crate) fn omit_at(&self, from: usize, to: usize) -> f64 {
         self.omit[from * self.n + to]
+    }
+
+    /// Whether any link can lose a message — decided once, at compile time.
+    pub(crate) fn lossy(&self) -> bool {
+        self.lossy
     }
 
     pub(crate) fn delay_at(&self, from: usize, to: usize) -> usize {
@@ -1214,6 +1242,41 @@ mod tests {
             Err(Error::UnknownProcess { n: 3, .. })
         ));
         assert!(LinkFaultPlan::new().cut(0, 1).validate(2).is_ok());
+    }
+
+    #[test]
+    fn keyed_threshold_draw_equals_the_churn_draw() {
+        // The batch path's hoisted, integer-threshold draw must be the
+        // scalar `churn_link_down` predicate exactly: at the extremes, at
+        // the smallest steps away from them, at non-dyadic rates, at seeded
+        // random rates, and at rates sitting exactly on the link's own draw
+        // (`unit(h)` is not down, one 2⁻⁵³ step above it is).
+        let step = 1.0 / (1u64 << 53) as f64;
+        let mut state = 0x7E57_5EED;
+        let mut next = || {
+            state = mix(state, 1);
+            state
+        };
+        let mut rates = vec![0.0, step, 0.1, 0.25, 0.5, 1.0 - step, 1.0];
+        rates.extend((0..16).map(|_| unit(next())));
+        for _ in 0..4000 {
+            let (seed, round) = (next(), next() % 512);
+            let a = (next() % 300) as usize;
+            let b = a + 1 + (next() % 300) as usize;
+            let own = unit(mix(
+                mix(mix(seed ^ CHURN_STREAM, round), a as u64),
+                b as u64,
+            ));
+            for rate in rates.iter().copied().chain([own, own + step]) {
+                assert_eq!(
+                    churn_draws(seed, round, a, rate)(b),
+                    churn_link_down(seed, round, a, b, rate),
+                    "seed {seed} round {round} link {a}-{b} rate {rate:e}"
+                );
+            }
+            assert!(!churn_draws(seed, round, a, own)(b));
+            assert!(churn_draws(seed, round, a, own + step)(b));
+        }
     }
 
     #[test]

@@ -227,19 +227,6 @@ pub fn run_experiment(config: &ExperimentConfig) -> Result<ExperimentResult> {
 /// work pool on the same boundary and stay bit-identical to this path.
 pub const BATCH_WIDTH: usize = 32;
 
-/// Explicitly batched form of [`run_experiment`]. Since the summary-level
-/// executors route every multi-seed point through the seed-batched
-/// [`BatchEngine`] anyway, this is the same computation under a name that
-/// documents the intent; it exists so callers can state "batch this point"
-/// without depending on the routing rule.
-///
-/// # Errors
-///
-/// Exactly as [`run_experiment`].
-pub fn run_batch_experiment(config: &ExperimentConfig) -> Result<ExperimentResult> {
-    run_experiment(config)
-}
-
 /// Streaming variant of [`run_experiment`]: runs every seed-batch chunk in
 /// parallel and invokes `on_run` with each completed [`RunSummary`] *as it
 /// finishes*, in completion order, on the worker that produced it. The full

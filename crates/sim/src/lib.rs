@@ -65,8 +65,8 @@ pub mod stats;
 mod workload;
 
 pub use experiment::{
-    mean_pack_occupancy, run_batch_experiment, run_experiment, run_experiment_metrics,
-    run_experiment_with, run_packed_experiments, run_packed_experiments_metrics, ExperimentConfig,
-    ExperimentResult, RunSummary, BATCH_WIDTH,
+    mean_pack_occupancy, run_experiment, run_experiment_metrics, run_experiment_with,
+    run_packed_experiments, run_packed_experiments_metrics, ExperimentConfig, ExperimentResult,
+    RunSummary, BATCH_WIDTH,
 };
 pub use workload::Workload;

@@ -172,18 +172,18 @@ fn steady_state_rounds_allocate_nothing_under_observe_summary() {
     }
 }
 
-/// The batch-engine analogue of [`run_counting`]: four lanes advance in
-/// lockstep over one network realization shared across the batch (the
+/// The batch-engine analogue of [`run_counting`]: four lanes of `n`
+/// processes advance in lockstep over one network realization shared across the batch (the
 /// fast path on the clean complete graph, the general path otherwise).
 /// Returns the allocation delta of the measured run and every lane's
 /// executed round count.
 fn run_batch_counting(
+    n: usize,
     topology: Topology,
     schedule: Option<TopologySchedule>,
     link_faults: LinkFaultPlan,
     rounds: usize,
 ) -> (u64, Vec<usize>) {
-    let n = 16;
     let mut builder = ProtocolConfig::builder(MobileModel::Garay, n, 2)
         .epsilon(1e-300)
         .max_rounds(rounds)
@@ -227,7 +227,9 @@ fn general_path_batch_rounds_allocate_nothing_under_observe_summary() {
     // lossy, delayed links whose arrivals join the rows as extras — with
     // four lanes in lockstep against one shared network realization. The
     // split attack keeps two faulty senders with per-receiver outboxes in
-    // every round, so the per-row extras are exercised too. Same
+    // every round, so the per-row extras are exercised too. The last case
+    // churns a ring over 80 processes, so every mask row spans two words.
+    // Same
     // differential design as the scalar test: both runs share identical
     // setup, so the 20 extra steady-state rounds of the long run must not
     // have allocated at all.
@@ -235,31 +237,58 @@ fn general_path_batch_rounds_allocate_nothing_under_observe_summary() {
         base,
         flip_rate: 0.15,
     };
-    for (label, topology, schedule, link_faults) in [
-        ("complete", Topology::Complete, None, LinkFaultPlan::new()),
-        ("ring", Topology::Ring { k: 4 }, None, LinkFaultPlan::new()),
+    for (label, n, topology, schedule, link_faults) in [
+        (
+            "complete",
+            16,
+            Topology::Complete,
+            None,
+            LinkFaultPlan::new(),
+        ),
+        (
+            "ring",
+            16,
+            Topology::Ring { k: 4 },
+            None,
+            LinkFaultPlan::new(),
+        ),
         (
             "churn",
+            16,
             Topology::Complete,
             Some(churn(Topology::Complete)),
             LinkFaultPlan::new(),
         ),
         (
             "churned ring",
+            16,
             Topology::Complete,
             Some(churn(Topology::Ring { k: 4 })),
             LinkFaultPlan::new(),
         ),
         (
             "churned ring, lossy delayed links",
+            16,
             Topology::Complete,
             Some(churn(Topology::Ring { k: 4 })),
             LinkFaultPlan::new().omit_all(0.05).delay(2, 3, 2),
         ),
+        (
+            "churned ring over two mask words, lossy links",
+            80,
+            Topology::Complete,
+            Some(churn(Topology::Ring { k: 6 })),
+            LinkFaultPlan::new().omit_all(0.05),
+        ),
     ] {
-        let (allocs_short, rounds_short) =
-            run_batch_counting(topology.clone(), schedule.clone(), link_faults.clone(), 6);
-        let (allocs_long, rounds_long) = run_batch_counting(topology, schedule, link_faults, 26);
+        let (allocs_short, rounds_short) = run_batch_counting(
+            n,
+            topology.clone(),
+            schedule.clone(),
+            link_faults.clone(),
+            6,
+        );
+        let (allocs_long, rounds_long) = run_batch_counting(n, topology, schedule, link_faults, 26);
         assert!(
             rounds_short.iter().all(|&r| r == 6),
             "{label}: every short lane must exhaust its budget, got {rounds_short:?}"

@@ -384,14 +384,23 @@ fn generated_packs_match_the_scalar_engine_bit_for_bit() {
     // omissions, cuts and delays, 2–12 lanes per pack mixing up to three
     // network descriptions (and per-lane ε, budget, mobility, corruption,
     // seed), and inputs full of ties, signed zeros and repeated extremes.
-    // Every lane of every pack must equal its own scalar `MobileEngine`
-    // run bit for bit — outcome or error.
+    // Then 16 smaller packs at n in [63, 130], where every sender mask
+    // spans more than one 64-bit word. Every lane of every pack must equal
+    // its own scalar `MobileEngine` run bit for bit — outcome or error.
+    const SMALL_PACKS: usize = 140;
+    const WIDE_PACKS: usize = 16;
     let mut g = Gen(0x5EED_BA7C);
     let corruptions = CorruptionStrategy::all_representative();
     let (mut fast_packs, mut general_packs, mut lanes, mut errors, mut rounds) = (0, 0, 0, 0, 0);
-    for pack_index in 0..140 {
+    let mut wide_lanes = 0;
+    for pack_index in 0..SMALL_PACKS + WIDE_PACKS {
+        let wide = pack_index >= SMALL_PACKS;
         let model = g.pick(&MobileModel::ALL);
-        let n = g.range(5, 40);
+        let n = if wide {
+            g.range(63, 130)
+        } else {
+            g.range(5, 40)
+        };
         let max_f = (1..n)
             .take_while(|&f| model.required_processes(f) <= n)
             .last();
@@ -400,7 +409,7 @@ fn generated_packs_match_the_scalar_engine_bit_for_bit() {
         let descriptions: Vec<NetworkDescription> = (0..g.range(1, 3))
             .map(|_| generated_network(&mut g, n, fast))
             .collect();
-        let width = g.range(2, 12);
+        let width = if wide { g.range(2, 4) } else { g.range(2, 12) };
         let mut pack = Vec::new();
         for _ in 0..2 * width {
             if pack.len() == width {
@@ -409,7 +418,7 @@ fn generated_packs_match_the_scalar_engine_bit_for_bit() {
             let net = g.pick(&descriptions);
             let mut builder = ProtocolConfig::builder(model, n, f)
                 .epsilon(g.pick(&[1e-2, 1e-4, 1e-6]))
-                .max_rounds(g.range(1, 60))
+                .max_rounds(g.range(1, if wide { 25 } else { 60 }))
                 .mobility(g.pick(&MobilityStrategy::ALL))
                 .corruption(g.pick(&corruptions))
                 .link_faults(net.link_faults.clone())
@@ -457,6 +466,7 @@ fn generated_packs_match_the_scalar_engine_bit_for_bit() {
                 lane.config.link_faults,
             );
             lanes += 1;
+            wide_lanes += usize::from(wide);
             errors += usize::from(result.is_err());
             rounds += result.as_ref().map_or(0, |outcome| outcome.rounds_executed);
         }
@@ -468,6 +478,7 @@ fn generated_packs_match_the_scalar_engine_bit_for_bit() {
         "only {general_packs} general-path packs"
     );
     assert!(lanes >= 800, "only {lanes} lanes");
+    assert!(wide_lanes >= 30, "only {wide_lanes} lanes at n > 62");
     assert!(rounds >= 8000, "only {rounds} lane-rounds");
     assert!(errors >= 1, "no lane exercised a run error");
 }
