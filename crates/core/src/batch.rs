@@ -21,36 +21,34 @@
 //!
 //! # Sort once, mask per receiver
 //!
-//! Both lockstep loops classify each round's senders into [`LaneSend`]s:
+//! The lockstep loop classifies each round's senders into [`LaneSend`]s:
 //! *broadcasters* (one value for every receiver), *silent* processes, and
-//! at most `2f` senders with genuinely per-receiver outboxes (adversary
-//! outboxes, Sasaki's poisoned queues). Broadcasters never materialize an
-//! outbox. [`DeliveryRows`] sorts the broadcast values **once per lane
-//! round**, and every computing receiver's row is that sorted buffer
-//! filtered to the broadcasts it received, merged with its few other
-//! values — so rows leave the exchange already sorted, and the k-wide
+//! at most `2f` senders whose per-receiver outboxes (adversary outboxes,
+//! Sasaki's poisoned queues) are borrowed straight from the round's
+//! [`RoundFaultPlan`]. Broadcasters never materialize an outbox.
+//! [`DeliveryRows`] sorts the broadcast values **once per lane round**,
+//! and every computing receiver's row is that sorted buffer filtered to
+//! the broadcasts it received, merged with its few other values — so rows
+//! leave the exchange already sorted, and the k-wide
 //! [`mbaa_msr::MsrFunction::apply_sorted_lanes`] folds `mean(Sel(Red(N)))`
 //! over all receivers of a lane in one pass. Because every `Value`
 //! constructor maps `-0.0` to `+0.0`, tied values are bit-identical and the
 //! filtered rows equal per-row sorts bit for bit. Row assembly is timed in
 //! [`Phase::Exchange`]; [`Phase::MsrApply`] is the fold alone.
 //!
-//! On the **complete-topology fast path** (no schedule, clean link-fault
-//! plan — the configuration every paper table sweeps) every broadcast
-//! reaches every receiver, so a row is a copy of the sorted buffer merged
-//! with the receiver's special slots, and traffic statistics are accounted
-//! in closed form.
+//! # Shared network realizations
 //!
-//! On the **general path** (partial topologies, schedules, link faults) the
-//! lanes of each distinct network *description* share one
-//! [`SharedRealization`]: the realized graphs as per-receiver sender
-//! bitmask rows, compiled fault matrices, and per-phase connectivity are
-//! built once per batch instead of once per lane, and each lane keeps only a tiny
-//! [`mbaa_net::LaneDelivery`] (its seed-keyed churn/omission draw streams
-//! and delay pipes). [`SharedRealization::exchange_rows`] delivers and
-//! accounts every slot and assembles the rows. Descriptions that realize
-//! per seed ([`Topology::RandomRegular`] anywhere) fall back to one scalar
-//! network per lane inside the same lockstep loop.
+//! Every lane round delivers through [`SharedRealization::exchange_rows`].
+//! The lanes of each distinct network *description* share one
+//! [`SharedRealization`]: the realized graphs, compiled fault matrices and
+//! per-phase connectivity are built once per batch instead of once per
+//! lane, and each lane keeps only a tiny [`mbaa_net::LaneDelivery`] (its
+//! seed-keyed churn/omission draw streams and delay pipes). On the
+//! complete graph under a clean plan — the configuration every paper table
+//! sweeps — every row is the whole sorted buffer merged with the
+//! receiver's per-receiver slots, and traffic is accounted in closed form.
+//! Descriptions that realize per seed ([`mbaa_net::Topology::RandomRegular`]
+//! anywhere) are grouped by lane seed as well, one realization per seed.
 //!
 //! # Batch vs. scalar selection
 //!
@@ -82,15 +80,14 @@
 use mbaa_adversary::{AdversaryView, MobileAdversary, RoundFaultPlan};
 use mbaa_msr::{ConvergenceReport, MsrFunction, VotingFunction};
 use mbaa_net::{
-    DeliveryRows, LaneDelivery, LaneSend, NetworkStats, NetworkTrace, Outbox, SharedRealization,
-    SyncNetwork, Topology, TopologySchedule,
+    DeliveryRows, LaneDelivery, LaneSend, NetworkStats, NetworkTrace, SharedRealization,
 };
 use mbaa_obs::{NoopObserver, Observer, Phase, RoundEvent};
 use mbaa_types::{
     Error, FaultState, Interval, MobileModel, ProcessId, Result, Round, Value, ValueMultiset,
 };
 
-use crate::engine::{emit_run_events, fill_outbox, non_faulty_diameter, RoundScratch};
+use crate::engine::{emit_run_events, non_faulty_diameter};
 use crate::{MobileEngine, MobileRunOutcome, Observe, ProtocolConfig};
 
 /// One lane of a batch: a seed and the initial values it starts from.
@@ -139,14 +136,10 @@ struct LaneSpec<'a> {
 /// Per-lane control state: everything that is *not* shared across lanes.
 struct LaneState {
     adversary: MobileAdversary,
-    /// The lane's own scalar network — only on the general path's per-lane
-    /// fallback (seed-dependent realizations). `None` on the fast path and
-    /// on the shared-realization path, where `stats` is accounted directly.
-    network: Option<SyncNetwork>,
-    /// The lane's slice of a [`SharedRealization`]: seed-keyed draw
-    /// streams and delay pipes. `Some` exactly on the shared path.
+    /// The lane's slice of its group's [`SharedRealization`]: seed-keyed
+    /// draw streams and delay pipes. `None` only for lanes born done.
     delivery: Option<LaneDelivery>,
-    /// Index of the lane's network-description group on the general path.
+    /// Index of the lane's network group.
     group: usize,
     stats: NetworkStats,
     validity_envelope: Option<Interval>,
@@ -157,25 +150,27 @@ struct LaneState {
     done: bool,
     /// Telemetry bookkeeping (only read when an enabled observer is
     /// attached): the previous round's diameter (contraction ratios), the
-    /// previous stats snapshot (per-round traffic deltas on the general
-    /// path), the cured-corruption count of the current round, and the
-    /// run total of corruptions.
+    /// previous stats snapshot (per-round traffic deltas), the
+    /// cured-corruption count of the current round, and the run total of
+    /// corruptions.
     prev_diameter: f64,
     prev_stats: NetworkStats,
     corrupted_last: u32,
     corruptions: u64,
 }
 
-/// One distinct network description inside a pack: the exemplar
-/// configuration that introduced it and, when the description is
-/// seed-invariant, the realization every lane of the group shares.
+/// One network realization inside a pack: the exemplar configuration that
+/// introduced its description, the lane seed it was realized under when
+/// the description [realizes per seed](SharedRealization::realizes_per_seed),
+/// and the realization every lane of the group shares — or the error the
+/// scalar engine's network lowering reports for it.
 struct NetGroup<'a> {
     cfg: &'a ProtocolConfig,
-    realization: Option<SharedRealization>,
+    seed: Option<u64>,
+    realization: Result<SharedRealization>,
 }
 
-/// Whether two configurations describe the same network and can share one
-/// realization group on the general path.
+/// Whether two configurations describe the same network.
 fn same_network_description(a: &ProtocolConfig, b: &ProtocolConfig) -> bool {
     a.topology == b.topology
         && a.schedule == b.schedule
@@ -249,7 +244,7 @@ impl BatchEngine {
                 inputs: &lane.inputs,
             })
             .collect();
-        run_specs(&specs, observer)
+        run_lockstep(&specs, observer)
     }
 
     /// Runs a **cross-point pack**: every lane carries its own
@@ -297,7 +292,7 @@ impl BatchEngine {
                 inputs: &lane.inputs,
             })
             .collect();
-        run_specs(&specs, observer)
+        run_lockstep(&specs, observer)
     }
 
     /// The lane-seeded scalar configuration: what the batch run must be
@@ -309,63 +304,16 @@ impl BatchEngine {
     }
 }
 
-/// Routes a shape-homogeneous batch to the fast or the general lockstep
-/// loop: the fast path requires *every* lane to be an unmasked complete
-/// graph under a clean plan; one partial or dynamic lane sends the whole
-/// pack down the general path (which handles complete lanes identically).
-fn run_specs<O: Observer>(
-    specs: &[LaneSpec<'_>],
-    observer: &mut O,
-) -> Vec<Result<MobileRunOutcome>> {
-    let fast = specs.iter().all(|spec| {
-        spec.cfg.schedule.is_none()
-            && spec.cfg.link_faults.is_clean()
-            && matches!(spec.cfg.topology, Topology::Complete)
-    });
-    if fast {
-        run_fast(specs, observer)
-    } else {
-        run_general(specs, observer)
-    }
-}
-
-/// Builds one lane's network exactly as the scalar engine would for the
-/// lane-seeded configuration. Graph realization is deterministic in
-/// `(n, seed)`, so seed-randomized topologies must realize *per lane*,
-/// not once per group — this is the general path's fallback when
-/// [`SharedRealization::try_build`] refuses a description.
-fn lane_network(cfg: &ProtocolConfig, seed: u64) -> Result<SyncNetwork> {
-    let n = cfg.n;
-    let network = if cfg.schedule.is_none() && cfg.link_faults.is_clean() {
-        match &cfg.topology {
-            Topology::Complete => SyncNetwork::new(n),
-            partial => SyncNetwork::with_topology(partial.realize(n, seed)?),
-        }
-    } else {
-        let schedule = cfg
-            .schedule
-            .clone()
-            .unwrap_or_else(|| TopologySchedule::Static(cfg.topology.clone()));
-        SyncNetwork::with_dynamics(
-            schedule.realize(n, seed)?,
-            &cfg.link_faults,
-            cfg.disconnection,
-            seed,
-        )?
-    };
-    // The batch paths only run at Observe::Summary.
-    Ok(network.with_trace_recording(false))
-}
-
-/// Initializes the SoA state shared by both batch paths: lane-major flat
-/// `votes` / `states` arrays and one control record per lane. Lanes with
-/// the wrong input count are born `done` with their scalar error; their
-/// state slices stay untouched placeholders. On the general path
-/// (`groups` is `Some`) each lane receives either a [`LaneDelivery`] on
-/// its group's shared realization or its own fallback network.
+/// Initializes the SoA state of a batch: lane-major flat `votes` /
+/// `states` arrays and one control record per lane, each with a
+/// [`LaneDelivery`] on its group's realization (`lane_group[l]` indexes
+/// `groups`). Lanes with the wrong input count, or whose group failed to
+/// realize, are born `done` with their scalar error — in the scalar
+/// engine's order; their state slices stay untouched placeholders.
 fn init_lanes(
     specs: &[LaneSpec<'_>],
-    groups: Option<(&[NetGroup<'_>], &[usize])>,
+    groups: &[NetGroup<'_>],
+    lane_group: &[usize],
 ) -> (Vec<Value>, Vec<FaultState>, Vec<LaneState>) {
     let n = specs[0].cfg.n;
     let mut votes = vec![Value::new(0.0); specs.len() * n];
@@ -382,9 +330,8 @@ fn init_lanes(
                 cfg.corruption,
                 spec.seed,
             ),
-            network: None,
             delivery: None,
-            group: 0,
+            group: lane_group[l],
             stats: NetworkStats::new(),
             validity_envelope: None,
             report: None,
@@ -405,20 +352,11 @@ fn init_lanes(
             ls.done = true;
         } else {
             votes[l * n..(l + 1) * n].copy_from_slice(spec.inputs);
-            if let Some((groups, lane_group)) = groups {
-                let g = lane_group[l];
-                match &groups[g].realization {
-                    Some(shared) => {
-                        ls.delivery = Some(shared.lane(spec.seed));
-                        ls.group = g;
-                    }
-                    None => match lane_network(cfg, spec.seed) {
-                        Ok(network) => ls.network = Some(network),
-                        Err(e) => {
-                            ls.error = Some(e);
-                            ls.done = true;
-                        }
-                    },
+            match &groups[ls.group].realization {
+                Ok(shared) => ls.delivery = Some(shared.lane(spec.seed)),
+                Err(e) => {
+                    ls.error = Some(e.clone());
+                    ls.done = true;
                 }
             }
         }
@@ -427,7 +365,7 @@ fn init_lanes(
     (votes, states, lane_states)
 }
 
-/// The adversary phase of one lane's round, shared by both paths: places
+/// The adversary phase of one lane's round: places
 /// the agents into the shared plan, applies the corruption left on cured
 /// processes, tracks fault states, and performs the first-round
 /// initialization (validity envelope, initial diameter, pre-sized report,
@@ -513,8 +451,7 @@ fn begin_lane_round<O: Observer>(
     true
 }
 
-/// The diameter bookkeeping closing one lane's round, shared by both
-/// paths. Returns the round's diameter so the caller can emit the lane's
+/// The diameter bookkeeping closing one lane's round. Returns the round's diameter so the caller can emit the lane's
 /// telemetry event without recomputing it.
 fn finish_lane_round(
     cfg: &ProtocolConfig,
@@ -567,10 +504,6 @@ fn collect<O: Observer>(
                         .unwrap_or(0.0),
                 )
             });
-            let (trace, network_stats) = match ls.network {
-                Some(network) => network.into_parts(),
-                None => (NetworkTrace::new(), ls.stats),
-            };
             let outcome = MobileRunOutcome {
                 reached_agreement: ls.reached,
                 rounds_executed: ls.rounds_executed,
@@ -580,8 +513,8 @@ fn collect<O: Observer>(
                 validity_envelope,
                 epsilon: specs[l].cfg.epsilon,
                 configurations: Vec::new(),
-                trace,
-                network_stats,
+                trace: NetworkTrace::new(),
+                network_stats: ls.stats,
             };
             if telemetry {
                 emit_run_events(observer, specs[l].seed, &outcome, ls.corruptions);
@@ -591,18 +524,18 @@ fn collect<O: Observer>(
         .collect()
 }
 
-/// The general batch path: every topology, schedule, and link-fault plan.
+/// The lockstep loop: every topology, schedule, and link-fault plan.
 ///
-/// Lanes are grouped by network description; each group's seed-invariant
-/// structure is realized **once** into a [`SharedRealization`] and every
-/// lane of the group exchanges against it, carrying only its own draw
-/// streams and delay pipes. Broadcasting senders are classified into
-/// [`LaneSend`]s instead of materializing `n`-slot outboxes, and delivered
-/// values land directly in packed, already sorted [`DeliveryRows`] feeding
-/// the k-wide MSR fold. Descriptions that realize per seed fall back to one
-/// scalar network per lane inside the same lockstep loop. Either way,
-/// per-lane results are bit-identical to the scalar engine by construction.
-fn run_general<O: Observer>(
+/// Lanes are grouped by network description — and by lane seed where the
+/// description realizes per seed. Each group's structure is realized
+/// **once** into a [`SharedRealization`] and every lane of the group
+/// exchanges against it, carrying only its own draw streams and delay
+/// pipes. Senders are classified into [`LaneSend`]s instead of
+/// materializing `n`-slot outboxes, and delivered values land directly in
+/// packed, already sorted [`DeliveryRows`] feeding the k-wide MSR fold.
+/// Per-lane results are bit-identical to the scalar engine by
+/// construction.
+fn run_lockstep<O: Observer>(
     specs: &[LaneSpec<'_>],
     observer: &mut O,
 ) -> Vec<Result<MobileRunOutcome>> {
@@ -610,42 +543,38 @@ fn run_general<O: Observer>(
     let k = specs.len();
     let telemetry = observer.enabled();
 
-    // Group the pack by network description and realize each group's
-    // shared structure once. A linear scan is fine: packs are ≤ the sweep
-    // chunk width and most packs hold one or two descriptions.
+    // Group the pack and realize each group once. A linear scan is fine:
+    // packs are ≤ the sweep chunk width and most packs hold one or two
+    // groups.
     let mut groups: Vec<NetGroup<'_>> = Vec::new();
     let mut lane_group = vec![0usize; k];
     for (l, spec) in specs.iter().enumerate() {
+        let cfg = spec.cfg;
+        let seed = SharedRealization::realizes_per_seed(&cfg.topology, cfg.schedule.as_ref())
+            .then_some(spec.seed);
         let g = groups
             .iter()
-            .position(|group| same_network_description(group.cfg, spec.cfg));
-        let g = match g {
-            Some(g) => g,
-            None => {
-                groups.push(NetGroup {
-                    cfg: spec.cfg,
-                    realization: SharedRealization::try_build(
-                        n,
-                        &spec.cfg.topology,
-                        spec.cfg.schedule.as_ref(),
-                        &spec.cfg.link_faults,
-                        spec.cfg.disconnection,
-                    ),
-                });
-                groups.len() - 1
-            }
-        };
-        lane_group[l] = g;
+            .position(|group| group.seed == seed && same_network_description(group.cfg, cfg));
+        lane_group[l] = g.unwrap_or_else(|| {
+            groups.push(NetGroup {
+                cfg,
+                seed,
+                realization: SharedRealization::build(
+                    n,
+                    &cfg.topology,
+                    cfg.schedule.as_ref(),
+                    &cfg.link_faults,
+                    cfg.disconnection,
+                    seed.unwrap_or(0),
+                ),
+            });
+            groups.len() - 1
+        });
     }
 
-    let (mut votes, mut states, mut lane_states) = init_lanes(specs, Some((&groups, &lane_group)));
-    let RoundScratch {
-        mut plan,
-        mut outboxes,
-        mut deliveries,
-        mut received,
-    } = RoundScratch::new(n);
-    let mut sends: Vec<LaneSend> = vec![LaneSend::Silent; n];
+    let (mut votes, mut states, mut lane_states) = init_lanes(specs, &groups, &lane_group);
+    let mut plan = RoundFaultPlan::empty(n);
+    let mut received = ValueMultiset::with_capacity(n);
     let mut active: Vec<bool> = vec![false; n];
     let mut rows = DeliveryRows::new(n);
     let mut lane_votes: Vec<Option<Value>> = vec![None; n];
@@ -683,237 +612,33 @@ fn run_general<O: Observer>(
             }
             let compute_even_if_faulty = cfg.model.agents_move_with_messages();
 
-            if ls.delivery.is_some() {
-                // Shared-realization path. Send phase: classify senders —
-                // a broadcaster contributes one value, not n slots; only
-                // the ≤ 2f genuinely per-receiver senders (adversary
-                // outboxes, poisoned queues) fill their scratch outbox.
-                observer.phase_start(Phase::Exchange);
-                for (i, &vote) in votes_l.iter().enumerate() {
-                    sends[i] = classify_send(cfg.model, &plan, i, vote);
-                    if let LaneSend::PerReceiver(_) = sends[i] {
-                        fill_outbox(
-                            cfg.model,
-                            &mut outboxes[i],
-                            ProcessId::new(i),
-                            &plan,
-                            votes_l,
-                        );
-                    }
-                }
-                for (i, state) in states_l.iter().enumerate() {
-                    active[i] = state.is_non_faulty() || compute_even_if_faulty;
-                }
-
-                // Receive phase, straight into sorted rows in the packed
-                // arena. A network error (e.g. a rejected disconnected
-                // round) fails this lane exactly as it fails a scalar run —
-                // other lanes (and the shared structure) are unaffected.
-                let shared = groups[ls.group]
-                    .realization
-                    .as_mut()
-                    .expect("shared lanes belong to a realized group");
-                let delivery = ls.delivery.as_mut().expect("shared lanes carry a delivery");
-                if let Err(e) = shared.exchange_rows(
-                    delivery,
-                    round,
-                    &sends,
-                    &outboxes,
-                    &active,
-                    &mut rows,
-                    &mut ls.stats,
-                ) {
-                    observer.phase_end(Phase::Exchange);
-                    ls.error = Some(e);
-                    ls.done = true;
-                    continue;
-                }
-                observer.phase_end(Phase::Exchange);
-
-                // Compute phase: the rows arrive sorted; fold them.
-                observer.phase_start(Phase::MsrApply);
-                fold_rows(&cfg.function, &rows, &mut lane_votes, votes_l);
-                observer.phase_end(Phase::MsrApply);
-
-                observer.phase_start(Phase::Record);
-                let diameter = finish_lane_round(cfg, ls, round_idx, votes_l, states_l);
-                if telemetry {
-                    let stats = ls.stats;
-                    emit_round(
-                        observer,
-                        cfg,
-                        spec.seed,
-                        ls,
-                        &plan,
-                        round_idx,
-                        diameter,
-                        stats,
-                        rows.min_len(),
-                    );
-                }
-                observer.phase_end(Phase::Record);
-            } else {
-                // Per-lane fallback: the lane owns a scalar network and
-                // runs the exact statement sequence of the scalar loop.
-                observer.phase_start(Phase::Exchange);
-                for (i, outbox) in outboxes.iter_mut().enumerate() {
-                    fill_outbox(cfg.model, outbox, ProcessId::new(i), &plan, votes_l);
-                }
-                let network = ls.network.as_mut().expect("fallback lanes carry a network");
-                if let Err(e) = network.exchange_into(round, &outboxes, &mut deliveries) {
-                    observer.phase_end(Phase::Exchange);
-                    ls.error = Some(e);
-                    ls.done = true;
-                    continue;
-                }
-                observer.phase_end(Phase::Exchange);
-
-                observer.phase_start(Phase::MsrApply);
-                let mut min_multiset = usize::MAX;
-                for i in 0..n {
-                    if states_l[i].is_non_faulty() || compute_even_if_faulty {
-                        received.refill(deliveries.delivered_to(ProcessId::new(i)));
-                        if telemetry {
-                            min_multiset = min_multiset.min(received.len());
-                        }
-                        if let Some(next) = cfg.function.apply_sorted(received.as_slice()) {
-                            votes_l[i] = next;
-                        }
-                    }
-                }
-                observer.phase_end(Phase::MsrApply);
-
-                observer.phase_start(Phase::Record);
-                let diameter = finish_lane_round(cfg, ls, round_idx, votes_l, states_l);
-                if telemetry {
-                    let stats = ls
-                        .network
-                        .as_ref()
-                        .expect("fallback lanes carry a network")
-                        .stats();
-                    let min_row = (min_multiset != usize::MAX).then_some(min_multiset);
-                    emit_round(
-                        observer, cfg, spec.seed, ls, &plan, round_idx, diameter, stats, min_row,
-                    );
-                }
-                observer.phase_end(Phase::Record);
-            }
-        }
-        if all_done {
-            break;
-        }
-    }
-
-    collect(specs, &votes, &states, lane_states, observer)
-}
-
-/// The complete-topology fast path: no schedule, clean links. Senders
-/// classify into broadcasters, silent processes, and ≤ 2f "special"
-/// senders with per-receiver outboxes; every active receiver's row is the
-/// round's once-sorted broadcast buffer merged with its special slots
-/// ([`DeliveryRows::push_full_row`]), folded by the k-wide MSR apply. No
-/// outboxes are filled and no delivery matrix exists — traffic statistics
-/// are accounted in closed form, matching the scalar network's counters
-/// exactly.
-fn run_fast<O: Observer>(
-    specs: &[LaneSpec<'_>],
-    observer: &mut O,
-) -> Vec<Result<MobileRunOutcome>> {
-    let n = specs[0].cfg.n;
-    let k = specs.len();
-    let telemetry = observer.enabled();
-    let (mut votes, mut states, mut lane_states) = init_lanes(specs, None);
-    let mut plan = RoundFaultPlan::empty(n);
-    let mut received = ValueMultiset::with_capacity(n);
-
-    // Fast-path scratch, shared across lanes and rounds and written by
-    // index into pre-sized buffers (never grown), so the whole loop below
-    // stays free of allocating idioms.
-    let mut sends: Vec<LaneSend> = vec![LaneSend::Silent; n];
-    let mut specials: Vec<usize> = vec![0; n];
-    let mut rows = DeliveryRows::new(n);
-    let mut lane_votes: Vec<Option<Value>> = vec![None; n];
-    let max_rounds = specs.iter().map(|s| s.cfg.max_rounds).max().unwrap_or(0);
-
-    // The lockstep round loop (see `run_general` for the schedule);
-    // statically allocation-free, enforced by `mbaa-analyze`.
-    // mbaa: alloc-free
-    for round_idx in 0..max_rounds {
-        let mut all_done = true;
-        for l in 0..k {
-            let spec = &specs[l];
-            let cfg = spec.cfg;
-            let ls = &mut lane_states[l];
-            if ls.done || round_idx >= cfg.max_rounds {
-                continue;
-            }
-            all_done = false;
-            let round = Round::new(round_idx as u64);
-            let votes_l = &mut votes[l * n..(l + 1) * n];
-            let states_l = &mut states[l * n..(l + 1) * n];
-            if !begin_lane_round(
-                cfg,
-                ls,
-                round,
-                votes_l,
-                states_l,
-                &mut plan,
-                &mut received,
-                observer,
-            ) {
-                continue;
-            }
-            let compute_even_if_faulty = cfg.model.agents_move_with_messages();
-
-            // Send phase: classify senders; the special ones keep their
-            // outboxes in the plan.
             observer.phase_start(Phase::Exchange);
-            let mut broadcasts = 0;
-            let mut specials_len = 0;
-            for (i, &vote) in votes_l.iter().enumerate() {
-                sends[i] = classify_send(cfg.model, &plan, i, vote);
-                match sends[i] {
-                    LaneSend::Broadcast(_) => broadcasts += 1,
-                    LaneSend::Silent => {}
-                    LaneSend::PerReceiver(_) => {
-                        specials[specials_len] = i;
-                        specials_len += 1;
-                    }
-                }
+            for (i, state) in states_l.iter().enumerate() {
+                active[i] = state.is_non_faulty() || compute_even_if_faulty;
             }
 
-            // Closed-form traffic accounting: a broadcast delivers to
-            // all n receivers, a special outbox to its Some slots, and
-            // every other reachable slot is a sender omission — the
-            // unmasked complete graph has no structural drops.
-            let mut delivered = (broadcasts * n) as u64;
-            for &s in &specials[..specials_len] {
-                delivered += special_outbox(&plan, s)
-                    .iter()
-                    .filter(|(_, slot)| slot.is_some())
-                    .count() as u64;
-            }
-            ls.stats.rounds += 1;
-            ls.stats.messages_delivered += delivered;
-            ls.stats.omissions += (n * n) as u64 - delivered;
-
-            // Row assembly: each active receiver gets every broadcast
-            // plus its special slots, already in ascending order.
-            rows.sort_broadcasts(&sends);
-            for (r, state) in states_l.iter().enumerate() {
-                if !(state.is_non_faulty() || compute_even_if_faulty) {
-                    continue;
-                }
-                let receiver = ProcessId::new(r);
-                for &s in &specials[..specials_len] {
-                    if let Some(v) = special_outbox(&plan, s).get(receiver) {
-                        rows.deliver_extra(v);
-                    }
-                }
-                rows.push_full_row(r);
-            }
+            // Send and receive phases, straight into sorted rows in the
+            // packed arena. Senders are classified as the exchange reads
+            // them — a broadcaster contributes one value, not n slots; the
+            // ≤ 2f per-receiver senders lend their outboxes from the plan.
+            // A network error (e.g. a rejected disconnected round) fails
+            // this lane exactly as it fails a scalar run — other lanes (and
+            // the shared structure) are unaffected.
+            let Ok(shared) = &mut groups[ls.group].realization else {
+                unreachable!("live lanes belong to a realized group");
+            };
+            let delivery = ls.delivery.as_mut().expect("live lanes carry a delivery");
+            let send = |i: usize| classify_send(cfg.model, &plan, i, votes_l[i]);
+            let exchanged =
+                shared.exchange_rows(delivery, round, send, &active, &mut rows, &mut ls.stats);
             observer.phase_end(Phase::Exchange);
+            if let Err(e) = exchanged {
+                ls.error = Some(e);
+                ls.done = true;
+                continue;
+            }
 
+            // Compute phase: the rows arrive sorted; fold them.
             observer.phase_start(Phase::MsrApply);
             fold_rows(&cfg.function, &rows, &mut lane_votes, votes_l);
             observer.phase_end(Phase::MsrApply);
@@ -944,39 +669,34 @@ fn run_fast<O: Observer>(
     collect(specs, &votes, &states, lane_states, observer)
 }
 
-/// The send-phase classification of process `i` shared by both batch
-/// paths — what [`fill_outbox`] would write, without writing it: a
-/// non-faulty, non-cured process broadcasts its vote; a cured one behaves
-/// per the model (Garay silent, Bonnet broadcast, Sasaki poisoned queue);
-/// a faulty one uses the adversary's per-receiver outbox.
-fn classify_send(model: MobileModel, plan: &RoundFaultPlan, i: usize, vote: Value) -> LaneSend {
+/// The send phase of process `i` — the batch path's statement of the
+/// model's send rules, what the scalar engine's outbox fill writes,
+/// without writing it: a non-faulty, non-cured process broadcasts its
+/// vote; a cured one behaves per the model (Garay silent, Bonnet
+/// broadcast, Sasaki its poisoned queue); a faulty one sends the
+/// adversary's per-receiver outbox.
+// mbaa: alloc-free
+fn classify_send(model: MobileModel, plan: &RoundFaultPlan, i: usize, vote: Value) -> LaneSend<'_> {
     let p = ProcessId::new(i);
     if plan.faulty.contains(p) {
-        LaneSend::PerReceiver(i)
+        LaneSend::PerReceiver(
+            plan.faulty_outboxes[i]
+                .as_ref()
+                .expect("adversary provides an outbox for every faulty process"),
+        )
     } else if plan.cured.contains(p) {
         match model {
             MobileModel::Garay => LaneSend::Silent,
             MobileModel::Bonnet => LaneSend::Broadcast(vote),
-            MobileModel::Sasaki => LaneSend::PerReceiver(i),
+            MobileModel::Sasaki => LaneSend::PerReceiver(
+                plan.poisoned_outboxes[i]
+                    .as_ref()
+                    .expect("Sasaki adversary provides a poisoned queue for every cured process"),
+            ),
             MobileModel::Buhrman => unreachable!("Buhrman's model has no cured senders"),
         }
     } else {
         LaneSend::Broadcast(vote)
-    }
-}
-
-/// The per-receiver outbox of a "special" sender on the fast path: the
-/// adversary's outbox for a faulty process, the poisoned queue for a
-/// Sasaki-cured one.
-fn special_outbox(plan: &RoundFaultPlan, i: usize) -> &Outbox {
-    if plan.faulty.contains(ProcessId::new(i)) {
-        plan.faulty_outboxes[i]
-            .as_ref()
-            .expect("adversary provides an outbox for every faulty process")
-    } else {
-        plan.poisoned_outboxes[i]
-            .as_ref()
-            .expect("Sasaki adversary provides a poisoned queue for every cured process")
     }
 }
 
@@ -1048,6 +768,7 @@ fn emit_round<O: Observer>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mbaa_net::{Topology, TopologySchedule};
 
     fn inputs(n: usize, salt: u64) -> Vec<Value> {
         (0..n)

@@ -8,37 +8,42 @@
 //! (delay pipes, round cursor, statistics). Only the first is shared across
 //! the lanes of a batch — and it is by far the most expensive to build.
 //!
-//! [`SharedRealization`] splits the bundle: it holds the seed-independent
-//! structure once per batch (every graph as per-receiver sender bitmask
-//! rows, compiled fault matrices, per-phase connectivity) plus reusable
-//! round scratch, while each lane carries only a tiny [`LaneDelivery`]
-//! (seed, round cursor, delay pipes when the plan needs them). A lane round
-//! is served by [`SharedRealization::exchange_rows`], which classifies and
-//! accounts every slot exactly as the scalar exchange would — same
-//! statistics counters, same omission/churn draw streams, same delay
-//! buffering — but assembles each active receiver's delivered values,
-//! already sorted, into packed [`DeliveryRows`] instead of an `n × n` slot
-//! matrix, skipping the quadratic outbox materialization for broadcasting
-//! senders via [`LaneSend`] classification.
+//! [`SharedRealization`] splits the bundle: it holds the structure once per
+//! batch (every graph as per-receiver sender bitmask rows, compiled fault
+//! matrices, per-phase connectivity) plus reusable round scratch, while
+//! each lane carries only a tiny [`LaneDelivery`] (seed, round cursor,
+//! delay pipes when the plan needs them). A lane round is served by
+//! [`SharedRealization::exchange_rows`], which classifies and accounts
+//! every slot exactly as the scalar exchange would — same statistics
+//! counters, same omission/churn draw streams, same delay buffering — but
+//! assembles each active receiver's delivered values, already sorted, into
+//! packed [`DeliveryRows`] instead of an `n × n` slot matrix, skipping the
+//! quadratic outbox materialization for broadcasting senders via
+//! [`LaneSend`] classification.
 //!
-//! Every stage of a lane round is a walk over `⌈n/64⌉`-word masks: row `r`
-//! of a graph has bit `s` set when `r` hears `s` (itself included). The
-//! round's broadcast values are sorted once and their senders form a
-//! broadcaster mask; a receiver's row ANDed with it yields the ranks it
-//! received, and the rest of the row names the few silent or per-receiver
-//! senders (see [`DeliveryRows`]). Without delayed links the same walk
-//! serves static graphs, periodic phases and churn, drawing link omissions
-//! per delivered message when the plan is lossy.
+//! The unmasked complete graph under a clean plan — the configuration
+//! every paper table sweeps — needs no mask at all: every row takes every
+//! broadcast, and traffic is accounted in closed form. Every other stage
+//! of a lane round is a walk over `⌈n/64⌉`-word masks: row `r` of a graph
+//! has bit `s` set when `r` hears `s` (itself included). The round's
+//! broadcast values are sorted once and their senders form a broadcaster
+//! mask; a receiver's row ANDed with it yields the ranks it received, and
+//! the rest of the row names the few silent or per-receiver senders (see
+//! [`DeliveryRows`]). Without delayed links the same walk serves static
+//! graphs, periodic phases and churn, drawing link omissions per delivered
+//! message when the plan is lossy.
 //!
-//! Only *seed-invariant* descriptions are shareable: a
-//! [`Topology::RandomRegular`] realizes differently per lane seed, so
-//! [`SharedRealization::try_build`] refuses it (anywhere — as the static
-//! graph, a periodic phase, or a churn base) and the engine falls back to
-//! one scalar network per lane. Seeded churn *is* shareable: the base graph
-//! is realized once into mask rows, each lane round copies them and clears
-//! the links whose per-`(seed, round, link)` draw comes up down — the same
-//! draw stream as the scalar path, bit for bit — and a bitset flood counts
-//! the round graph's components.
+//! [`SharedRealization::build`] realizes a description under one seed. A
+//! [`Topology::RandomRegular`] graph (static, a periodic phase, or a churn
+//! base) realizes differently per seed, so its lanes need one realization
+//! per seed ([`SharedRealization::realizes_per_seed`]); every other
+//! description realizes identically under every seed, and
+//! [`SharedRealization::try_build`] builds those once for all lanes.
+//! Seeded churn *is* shareable: the base graph is realized once into mask
+//! rows, each lane round copies them and clears the links whose
+//! per-`(seed, round, link)` draw comes up down — the same draw stream as
+//! the scalar path, bit for bit — and a bitset flood counts the round
+//! graph's components.
 
 use std::collections::VecDeque;
 
@@ -58,28 +63,27 @@ use crate::{
 /// The classification must match what
 /// [`Outbox`]es the scalar engine would build: `Broadcast(v)` stands for a
 /// `fill_broadcast(v)` outbox (every slot `Some(v)`, self included),
-/// `Silent` for a `fill_silent` one, and `PerReceiver(i)` defers to
-/// `outboxes[i]` for the few genuinely per-receiver senders (adversary
-/// outboxes, poisoned queues).
+/// `Silent` for a `fill_silent` one, and `PerReceiver` borrows the outbox
+/// of one of the few genuinely per-receiver senders (adversary outboxes,
+/// poisoned queues).
 #[derive(Debug, Clone, Copy)]
-pub enum LaneSend {
+pub enum LaneSend<'a> {
     /// The sender broadcasts one value to every receiver (itself included).
     Broadcast(Value),
     /// The sender omits to every receiver.
     Silent,
-    /// The sender's slots come from the outbox at this index of the
-    /// `outboxes` slice passed to [`SharedRealization::exchange_rows`].
-    PerReceiver(usize),
+    /// The sender's slots come from this outbox.
+    PerReceiver(&'a Outbox),
 }
 
-impl LaneSend {
+impl LaneSend<'_> {
     /// The value this sender puts on its link to `receiver`.
     #[inline]
-    fn slot(self, outboxes: &[Outbox], receiver: ProcessId) -> Option<Value> {
+    fn slot(self, receiver: ProcessId) -> Option<Value> {
         match self {
             LaneSend::Broadcast(value) => Some(value),
             LaneSend::Silent => None,
-            LaneSend::PerReceiver(i) => outboxes[i].get(receiver),
+            LaneSend::PerReceiver(outbox) => outbox.get(receiver),
         }
     }
 }
@@ -106,9 +110,8 @@ fn for_each_bit(w: usize, mut word: u64, mut f: impl FnMut(usize)) {
 /// each sender's bit moved to its rank in a second bitset that is walked
 /// in order — merged with its few other deliveries ("extras": per-receiver
 /// slots and delayed arrivals), which are sorted on their own. On the
-/// unmasked complete graph every row takes every broadcast, so
-/// [`DeliveryRows::push_full_row`] merges the whole buffer, without a
-/// bitset.
+/// unmasked complete graph every row takes every broadcast, so the whole
+/// buffer is merged, without a bitset.
 ///
 /// Every [`Value`] constructor maps `-0.0` to `+0.0`, so values that
 /// compare equal are bit-identical and a row assembled this way equals a
@@ -164,27 +167,21 @@ impl DeliveryRows {
         }
     }
 
-    /// Starts a lane round: clears the arena and sorts the values of the
-    /// `Broadcast` senders in `sends` once, for every row of the round,
-    /// recording each broadcaster's rank and the broadcaster mask.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sends` is longer than the universe.
+    /// Starts a lane round: clears the arena, classifies senders `0..n`
+    /// through `send`, and sorts the broadcasters' values once for every
+    /// row of the round, recording each broadcaster's rank and the
+    /// broadcaster mask.
     // mbaa: alloc-free
-    pub fn sort_broadcasts(&mut self, sends: &[LaneSend]) {
+    fn sort_broadcasts<'a>(&mut self, n: usize, send: impl Fn(usize) -> LaneSend<'a>) {
         self.clear();
+        self.broadcasters.fill(0);
         let mut len = 0;
-        for (w, chunk) in sends.chunks(64).enumerate() {
-            let mut word = 0;
-            for (i, send) in chunk.iter().enumerate() {
-                if let LaneSend::Broadcast(value) = *send {
-                    self.ranked[len] = (value, (w * 64 + i) as u32);
-                    word |= 1 << i;
-                    len += 1;
-                }
+        for s in 0..n {
+            if let LaneSend::Broadcast(value) = send(s) {
+                self.ranked[len] = (value, s as u32);
+                self.broadcasters[s / 64] |= 1 << (s % 64);
+                len += 1;
             }
-            self.broadcasters[w] = word;
         }
         let ranked = &mut self.ranked[..len];
         ranked.sort_unstable_by_key(|&(value, _)| value);
@@ -212,7 +209,7 @@ impl DeliveryRows {
     /// Adds `value`, delivered from `sender` this round, to the row being
     /// assembled: a broadcast by its rank bit, anything else as an extra.
     #[inline]
-    fn deliver(&mut self, send: LaneSend, sender: usize, value: Value) {
+    fn deliver(&mut self, send: LaneSend<'_>, sender: usize, value: Value) {
         if let LaneSend::Broadcast(_) = send {
             self.mark(sender);
         } else {
@@ -223,7 +220,7 @@ impl DeliveryRows {
     /// Adds a value that is not one of the round's ranked broadcasts — a
     /// per-receiver slot or a delayed arrival — to the row being assembled.
     #[inline]
-    pub fn deliver_extra(&mut self, value: Value) {
+    fn deliver_extra(&mut self, value: Value) {
         self.extras[self.extras_len] = value;
         self.extras_len += 1;
     }
@@ -251,7 +248,7 @@ impl DeliveryRows {
     /// broadcast of the round delivered (the unmasked complete graph): the
     /// sorted buffer merged with the sorted extras.
     // mbaa: alloc-free
-    pub fn push_full_row(&mut self, receiver: usize) {
+    fn push_full_row(&mut self, receiver: usize) {
         let start = self.total;
         let extras = &mut self.extras[..self.extras_len];
         extras.sort_unstable();
@@ -441,8 +438,12 @@ enum DynGraphs {
 
 #[derive(Debug)]
 enum SharedKind {
-    /// A static graph under a clean fault plan: no round cursor, no
-    /// connectivity check.
+    /// The unmasked complete graph under a clean fault plan: every
+    /// broadcast reaches every receiver. `specials` is round scratch: the
+    /// senders with per-receiver outboxes.
+    Complete { specials: Vec<usize> },
+    /// Any other static graph under a clean fault plan: no round cursor,
+    /// no connectivity check.
     Static(MaskRows),
     /// The dynamic path: per-round graphs and/or per-link faults.
     Dynamic {
@@ -454,27 +455,33 @@ enum SharedKind {
     },
 }
 
-/// The seed-independent structure of one network description, realized once
-/// per batch and shared by every lane. The module documentation above
-/// spells out what is shared and what stays lane-local.
+impl SharedKind {
+    fn complete(n: usize) -> Self {
+        SharedKind::Complete {
+            specials: vec![0; n],
+        }
+    }
+
+    /// A static graph, lowered exactly as
+    /// [`SyncNetwork::with_topology`](crate::SyncNetwork::with_topology)
+    /// lowers it: a complete adjacency takes the unmasked path.
+    fn fixed(adjacency: &Adjacency) -> Self {
+        if adjacency.is_complete() {
+            Self::complete(adjacency.n())
+        } else {
+            SharedKind::Static(MaskRows::new(adjacency))
+        }
+    }
+}
+
+/// The structure of one network description realized under one seed,
+/// shared by every lane that realizes it identically. The module
+/// documentation above spells out what is shared and what stays
+/// lane-local.
 #[derive(Debug)]
 pub struct SharedRealization {
     n: usize,
     kind: SharedKind,
-}
-
-/// Seed-invariance of a topology description: everything but
-/// [`Topology::RandomRegular`] realizes to the same graph under every seed.
-fn topology_seed_invariant(topology: &Topology) -> bool {
-    !matches!(topology, Topology::RandomRegular { .. })
-}
-
-fn schedule_seed_invariant(schedule: &TopologySchedule) -> bool {
-    match schedule {
-        TopologySchedule::Static(topology) => topology_seed_invariant(topology),
-        TopologySchedule::Periodic { phases } => phases.iter().all(topology_seed_invariant),
-        TopologySchedule::SeededChurn { base, .. } => topology_seed_invariant(base),
-    }
 }
 
 /// Draws one lane round of churn into `graph`: the base rows, less every
@@ -558,11 +565,10 @@ impl Losses<'_> {
 /// per-receiver senders, whose slots are read one by one. Accounting
 /// follows the scalar exchange exactly.
 // mbaa: alloc-free
-fn deliver_masked(
+fn deliver_masked<'a>(
     graph: &MaskRows,
     losses: Option<Losses<'_>>,
-    sends: &[LaneSend],
-    outboxes: &[Outbox],
+    send: impl Fn(usize) -> LaneSend<'a>,
     active: &[bool],
     rows: &mut DeliveryRows,
     stats: &mut NetworkStats,
@@ -594,7 +600,7 @@ fn deliver_masked(
                 for_each_bit(w, delivered, |s| rows.mark(s));
             }
             for_each_bit(w, word & !rows.broadcasters[w], |s| {
-                match sends[s].slot(outboxes, receiver) {
+                match send(s).slot(receiver) {
                     None => stats.omissions += 1,
                     Some(_) if lost(s) => stats.link_omissions += 1,
                     Some(value) => {
@@ -615,34 +621,77 @@ fn deliver_masked(
     }
 }
 
+/// The delivery of the unmasked complete graph: every broadcast reaches
+/// every receiver, so an active receiver's row is the round's whole sorted
+/// buffer merged with its per-receiver slots. Traffic is accounted in
+/// closed form — a broadcast delivers to all `n` receivers, a per-receiver
+/// outbox to its `Some` slots, and every other slot is a sender omission —
+/// matching the scalar exchange's counters exactly.
+// mbaa: alloc-free
+fn deliver_full<'a>(
+    specials: &mut [usize],
+    send: impl Fn(usize) -> LaneSend<'a>,
+    active: &[bool],
+    rows: &mut DeliveryRows,
+    stats: &mut NetworkStats,
+) {
+    let n = active.len();
+    let mut delivered = (rows.broadcasts * n) as u64;
+    let mut specials_len = 0;
+    for s in 0..n {
+        if let LaneSend::PerReceiver(outbox) = send(s) {
+            specials[specials_len] = s;
+            specials_len += 1;
+            delivered += outbox.iter().filter(|(_, slot)| slot.is_some()).count() as u64;
+        }
+    }
+    stats.messages_delivered += delivered;
+    stats.omissions += (n * n) as u64 - delivered;
+    for (r, &row_active) in active.iter().enumerate() {
+        if !row_active {
+            continue;
+        }
+        let receiver = ProcessId::new(r);
+        for &s in &specials[..specials_len] {
+            if let Some(value) = send(s).slot(receiver) {
+                rows.deliver_extra(value);
+            }
+        }
+        rows.push_full_row(r);
+    }
+}
+
 impl SharedRealization {
-    /// Builds the shared structure for one network description, mirroring
-    /// the lowering decisions of the scalar engine exactly: no schedule and
-    /// a clean plan realize a static graph; a schedule whose per-round
+    /// Realizes one network description under `seed`, mirroring the
+    /// lowering decisions of the scalar engine exactly: no schedule and a
+    /// clean plan realize a static graph; a schedule whose per-round
     /// graphs cannot differ under a clean compiled plan lowers onto the
-    /// static form; everything else takes the dynamic form.
+    /// static form; everything else takes the dynamic form. A complete
+    /// static graph takes the unmasked path, as in the scalar network.
     ///
-    /// Returns `None` when the description is not shareable — a
-    /// seed-dependent topology anywhere in it, or a description that fails
-    /// to realize or compile (the caller's per-lane fallback reproduces the
-    /// identical error per lane).
-    #[must_use]
-    pub fn try_build(
+    /// The seed matters only where the description
+    /// [realizes per seed](SharedRealization::realizes_per_seed); churn
+    /// and omission draws key on each lane's own seed at exchange time.
+    ///
+    /// # Errors
+    ///
+    /// Exactly the error the scalar engine's network lowering returns for
+    /// the same description and seed: a topology or schedule that fails
+    /// to realize, or a link-fault plan that fails to compile.
+    pub fn build(
         n: usize,
         topology: &Topology,
         schedule: Option<&TopologySchedule>,
         link_faults: &LinkFaultPlan,
         policy: DisconnectionPolicy,
-    ) -> Option<SharedRealization> {
+        seed: u64,
+    ) -> Result<SharedRealization> {
         if schedule.is_none() && link_faults.is_clean() {
-            if !topology_seed_invariant(topology) {
-                return None;
-            }
-            let adjacency = topology.realize(n, 0).ok()?;
-            return Some(SharedRealization {
-                n,
-                kind: SharedKind::Static(MaskRows::new(&adjacency)),
-            });
+            let kind = match topology {
+                Topology::Complete => SharedKind::complete(n),
+                partial => SharedKind::fixed(&partial.realize(n, seed)?),
+            };
+            return Ok(SharedRealization { n, kind });
         }
         let implied;
         let schedule = match schedule {
@@ -652,20 +701,11 @@ impl SharedRealization {
                 &implied
             }
         };
-        if !schedule_seed_invariant(schedule) {
-            return None;
-        }
-        // Seed 0 stands in for every lane seed: the invariance check above
-        // guarantees realization ignores it, and churn draws key on the
-        // lane seed at exchange time, not here.
-        let realized = schedule.realize(n, 0).ok()?;
-        let faults = link_faults.compile(n).ok()?;
+        let realized = schedule.realize(n, seed)?;
+        let faults = link_faults.compile(n)?;
         if faults.is_clean() && !realized.is_dynamic() {
-            let adjacency = realized.adjacency_at(Round::ZERO).into_owned();
-            return Some(SharedRealization {
-                n,
-                kind: SharedKind::Static(MaskRows::new(&adjacency)),
-            });
+            let kind = SharedKind::fixed(&realized.adjacency_at(Round::ZERO));
+            return Ok(SharedRealization { n, kind });
         }
         let max_delay = faults.compiled_max_delay();
         let phase = |adjacency: &Adjacency| PhaseGraph {
@@ -690,7 +730,7 @@ impl SharedRealization {
                 }
             }
         };
-        Some(SharedRealization {
+        Ok(SharedRealization {
             n,
             kind: SharedKind::Dynamic {
                 graphs,
@@ -699,6 +739,38 @@ impl SharedRealization {
                 max_delay,
             },
         })
+    }
+
+    /// Builds a realization that every lane seed shares: `None` when the
+    /// description [realizes per seed](SharedRealization::realizes_per_seed)
+    /// or fails to [build](SharedRealization::build).
+    #[must_use]
+    pub fn try_build(
+        n: usize,
+        topology: &Topology,
+        schedule: Option<&TopologySchedule>,
+        link_faults: &LinkFaultPlan,
+        policy: DisconnectionPolicy,
+    ) -> Option<SharedRealization> {
+        if Self::realizes_per_seed(topology, schedule) {
+            return None;
+        }
+        Self::build(n, topology, schedule, link_faults, policy, 0).ok()
+    }
+
+    /// Whether the description realizes a different graph per seed: a
+    /// [`Topology::RandomRegular`] as the static graph (the `topology` when
+    /// there is no schedule), a periodic phase, or a churn base. Every
+    /// other description realizes identically under every seed.
+    #[must_use]
+    pub fn realizes_per_seed(topology: &Topology, schedule: Option<&TopologySchedule>) -> bool {
+        let seeded = |topology: &Topology| matches!(topology, Topology::RandomRegular { .. });
+        match schedule {
+            None => seeded(topology),
+            Some(TopologySchedule::Static(topology)) => seeded(topology),
+            Some(TopologySchedule::Periodic { phases }) => phases.iter().any(seeded),
+            Some(TopologySchedule::SeededChurn { base, .. }) => seeded(base),
+        }
     }
 
     /// The number of processes every lane of this realization covers.
@@ -732,8 +804,8 @@ impl SharedRealization {
     /// counter semantics of the scalar [`SyncNetwork`](crate::SyncNetwork)
     /// exchange for the same lane-seeded configuration.
     ///
-    /// `sends` classifies every sender; `outboxes` backs its
-    /// [`LaneSend::PerReceiver`] entries (only those indices are read).
+    /// `send(s)` classifies sender `s`, for every `s < n`; it is called
+    /// whenever the exchange reads a sender, so it should be cheap.
     ///
     /// # Errors
     ///
@@ -744,28 +816,31 @@ impl SharedRealization {
     ///
     /// # Panics
     ///
-    /// Panics if `sends` or `active` do not cover the universe.
+    /// Panics if `active` does not cover the universe.
     // The delayed loop walks receiver/sender indices into several flat
     // n²-strided arrays at once, mirroring the scalar exchange.
     #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
     // mbaa: alloc-free
-    pub fn exchange_rows(
+    pub fn exchange_rows<'a>(
         &mut self,
         lane: &mut LaneDelivery,
         round: Round,
-        sends: &[LaneSend],
-        outboxes: &[Outbox],
+        send: impl Fn(usize) -> LaneSend<'a>,
         active: &[bool],
         rows: &mut DeliveryRows,
         stats: &mut NetworkStats,
     ) -> Result<()> {
         let n = self.n;
-        assert_eq!(sends.len(), n, "one send classification per process");
         assert_eq!(active.len(), n, "one active flag per process");
-        rows.sort_broadcasts(sends);
+        rows.sort_broadcasts(n, &send);
         let (graphs, faults, policy, max_delay) = match &mut self.kind {
+            SharedKind::Complete { specials } => {
+                deliver_full(specials, &send, active, rows, stats);
+                stats.rounds += 1;
+                return Ok(());
+            }
             SharedKind::Static(graph) => {
-                deliver_masked(graph, None, sends, outboxes, active, rows, stats);
+                deliver_masked(graph, None, &send, active, rows, stats);
                 stats.rounds += 1;
                 return Ok(());
             }
@@ -822,7 +897,7 @@ impl SharedRealization {
                 seed,
                 round: round.index(),
             });
-            deliver_masked(graph, losses, sends, outboxes, active, rows, stats);
+            deliver_masked(graph, losses, &send, active, rows, stats);
             stats.rounds += 1;
             return Ok(());
         }
@@ -834,10 +909,11 @@ impl SharedRealization {
             let row_active = active[r];
             for s in 0..n {
                 let delay = faults.delay_at(s, r);
+                let sending = send(s);
                 let sent = if !graph.hears(r, s) {
                     SendOutcome::Unreachable
                 } else {
-                    match sends[s].slot(outboxes, receiver) {
+                    match sending.slot(receiver) {
                         None => SendOutcome::SenderOmitted,
                         Some(value) => {
                             if omission_lost(seed, round.index(), s, r, faults.omit_at(s, r)) {
@@ -868,7 +944,7 @@ impl SharedRealization {
                         }
                         if row_active {
                             if delay == 0 {
-                                rows.deliver(sends[s], s, value);
+                                rows.deliver(sending, s, value);
                             } else {
                                 // Sent in an earlier round: not one of this
                                 // round's ranks.
@@ -900,10 +976,8 @@ mod tests {
         ProcessId::new(i)
     }
 
-    fn broadcast_sends(n: usize) -> Vec<LaneSend> {
-        (0..n)
-            .map(|i| LaneSend::Broadcast(Value::new(i as f64)))
-            .collect()
+    fn broadcast_send(s: usize) -> LaneSend<'static> {
+        LaneSend::Broadcast(Value::new(s as f64))
     }
 
     fn broadcast_outboxes(n: usize) -> Vec<Outbox> {
@@ -914,32 +988,38 @@ mod tests {
 
     /// A mixed send phase full of ties: broadcasters whose values repeat
     /// (signed zeros included), silent senders, and per-receiver senders
-    /// whose slots vary and sometimes omit — with the matching outboxes
-    /// the scalar network takes.
-    fn mixed_sends(n: usize) -> (Vec<LaneSend>, Vec<Outbox>) {
+    /// whose slots vary and sometimes omit — as the outboxes the scalar
+    /// network takes.
+    fn mixed_outboxes(n: usize) -> Vec<Outbox> {
         let tie = |i: usize| Value::new([-0.0, 1.0, 0.0, -2.0][i % 4]);
         (0..n)
             .map(|i| match i % 5 {
-                1 => (LaneSend::Silent, Outbox::silent(n, pid(i))),
+                1 => Outbox::silent(n, pid(i)),
                 3 => {
                     let slots = (0..n).map(|r| (r % 3 != 0).then(|| tie(r + i))).collect();
-                    (
-                        LaneSend::PerReceiver(i),
-                        Outbox::per_receiver(pid(i), slots),
-                    )
+                    Outbox::per_receiver(pid(i), slots)
                 }
-                _ => (
-                    LaneSend::Broadcast(tie(i)),
-                    Outbox::broadcast(n, pid(i), tie(i)),
-                ),
+                _ => Outbox::broadcast(n, pid(i), tie(i)),
             })
-            .unzip()
+            .collect()
     }
 
-    /// Runs `rounds` rounds through both the scalar network and the shared
-    /// realization, under both a plain broadcast send phase and a mixed
-    /// one, and asserts that every row is the receiver's scalar multiset,
-    /// ascending, and that the stats are identical.
+    /// The batched classification of a send phase given as outboxes.
+    fn lane_sends(outboxes: &[Outbox]) -> Vec<LaneSend<'_>> {
+        outboxes
+            .iter()
+            .map(|outbox| match outbox.get(pid(0)) {
+                Some(value) if outbox.is_uniform() => LaneSend::Broadcast(value),
+                _ if outbox.is_silent() => LaneSend::Silent,
+                _ => LaneSend::PerReceiver(outbox),
+            })
+            .collect()
+    }
+
+    /// Runs `rounds` rounds through both the scalar network and the
+    /// realization built under `seed`, under both a plain broadcast send
+    /// phase and a mixed one, and asserts that every row is the receiver's
+    /// scalar multiset, ascending, and that the stats are identical.
     fn assert_matches_scalar(
         topology: &Topology,
         schedule: Option<&TopologySchedule>,
@@ -949,7 +1029,8 @@ mod tests {
         seed: u64,
         rounds: u64,
     ) {
-        for (sends, outboxes) in [(broadcast_sends(n), broadcast_outboxes(n)), mixed_sends(n)] {
+        for outboxes in [broadcast_outboxes(n), mixed_outboxes(n)] {
+            let sends = lane_sends(&outboxes);
             let mut scalar = if schedule.is_none() && plan.is_clean() {
                 SyncNetwork::with_topology(topology.realize(n, seed).unwrap())
             } else {
@@ -960,8 +1041,8 @@ mod tests {
                     .unwrap()
             }
             .with_trace_recording(false);
-            let mut shared = SharedRealization::try_build(n, topology, schedule, plan, policy)
-                .expect("description is shareable");
+            let mut shared =
+                SharedRealization::build(n, topology, schedule, plan, policy, seed).unwrap();
             let mut lane = shared.lane(seed);
             let mut rows = DeliveryRows::new(n);
             let mut stats = NetworkStats::new();
@@ -971,7 +1052,12 @@ mod tests {
                 let deliveries = scalar.exchange(round, outboxes.clone()).unwrap();
                 shared
                     .exchange_rows(
-                        &mut lane, round, &sends, &outboxes, &active, &mut rows, &mut stats,
+                        &mut lane,
+                        round,
+                        |s| sends[s],
+                        &active,
+                        &mut rows,
+                        &mut stats,
                     )
                     .unwrap();
                 assert_eq!(rows.rows(), n);
@@ -1026,15 +1112,23 @@ mod tests {
 
     #[test]
     fn complete_delivery_matches_scalar() {
-        assert_matches_scalar(
-            &Topology::Complete,
-            None,
-            &LinkFaultPlan::new(),
-            DisconnectionPolicy::Record,
-            7,
-            1,
-            4,
-        );
+        let static_complete = TopologySchedule::Static(Topology::Complete);
+        for n in UNIVERSES {
+            // The complete graph itself, and complete graphs reached through
+            // a static schedule or a ring wide enough to link everyone: all
+            // lower onto the complete kind, as in the scalar network.
+            for (topology, schedule) in [
+                (Topology::Complete, None),
+                (Topology::Complete, Some(&static_complete)),
+                (Topology::Ring { k: n }, None),
+            ] {
+                let plan = LinkFaultPlan::new();
+                let policy = DisconnectionPolicy::Record;
+                let shared = SharedRealization::build(n, &topology, schedule, &plan, policy, 1);
+                assert!(matches!(shared.unwrap().kind, SharedKind::Complete { .. }));
+                assert_matches_scalar(&topology, schedule, &plan, policy, n, 1, 4);
+            }
+        }
     }
 
     #[test]
@@ -1132,8 +1226,7 @@ mod tests {
                         .exchange_rows(
                             &mut lane,
                             round,
-                            &broadcast_sends(n),
-                            &broadcast_outboxes(n),
+                            broadcast_send,
                             &vec![true; n],
                             &mut rows,
                             &mut stats,
@@ -1184,28 +1277,65 @@ mod tests {
         }
     }
 
+    /// `RandomRegular` as the static graph, as a periodic phase, and as a
+    /// churn base.
+    fn random_regular_descriptions() -> [(Topology, Option<TopologySchedule>); 3] {
+        let random = Topology::RandomRegular { degree: 4 };
+        [
+            (random.clone(), None),
+            (
+                Topology::Complete,
+                Some(TopologySchedule::Periodic {
+                    phases: vec![random.clone(), Topology::Ring { k: 2 }],
+                }),
+            ),
+            (
+                Topology::Complete,
+                Some(TopologySchedule::SeededChurn {
+                    base: random,
+                    flip_rate: 0.2,
+                }),
+            ),
+        ]
+    }
+
     #[test]
     fn random_regular_is_not_shareable() {
-        assert!(SharedRealization::try_build(
-            10,
-            &Topology::RandomRegular { degree: 4 },
-            None,
-            &LinkFaultPlan::new(),
-            DisconnectionPolicy::Record,
-        )
-        .is_none());
-        let churned = TopologySchedule::SeededChurn {
-            base: Topology::RandomRegular { degree: 4 },
-            flip_rate: 0.2,
-        };
-        assert!(SharedRealization::try_build(
-            10,
-            &Topology::Complete,
-            Some(&churned),
-            &LinkFaultPlan::new(),
-            DisconnectionPolicy::Record,
-        )
-        .is_none());
+        // Not across seeds: `try_build` refuses every description that
+        // realizes per seed.
+        for (topology, schedule) in random_regular_descriptions() {
+            assert!(SharedRealization::realizes_per_seed(
+                &topology,
+                schedule.as_ref()
+            ));
+            assert!(SharedRealization::try_build(
+                10,
+                &topology,
+                schedule.as_ref(),
+                &LinkFaultPlan::new(),
+                DisconnectionPolicy::Record,
+            )
+            .is_none());
+        }
+    }
+
+    #[test]
+    fn random_regular_realizes_per_seed_like_scalar() {
+        for (topology, schedule) in random_regular_descriptions() {
+            for n in [12, 65] {
+                for seed in [3, 8] {
+                    assert_matches_scalar(
+                        &topology,
+                        schedule.as_ref(),
+                        &LinkFaultPlan::new(),
+                        DisconnectionPolicy::Record,
+                        n,
+                        seed,
+                        6,
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1229,8 +1359,7 @@ mod tests {
             .exchange_rows(
                 &mut lane,
                 Round::ZERO,
-                &broadcast_sends(3),
-                &broadcast_outboxes(3),
+                broadcast_send,
                 &[true; 3],
                 &mut rows,
                 &mut stats,
@@ -1260,8 +1389,7 @@ mod tests {
             .exchange_rows(
                 &mut lane,
                 Round::new(2),
-                &broadcast_sends(3),
-                &broadcast_outboxes(3),
+                broadcast_send,
                 &[true; 3],
                 &mut rows,
                 &mut stats,
@@ -1289,8 +1417,7 @@ mod tests {
             .exchange_rows(
                 &mut lane,
                 Round::ZERO,
-                &broadcast_sends(4),
-                &broadcast_outboxes(4),
+                broadcast_send,
                 &active,
                 &mut rows,
                 &mut stats,

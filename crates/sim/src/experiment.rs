@@ -357,47 +357,34 @@ where
 ///
 /// Propagates the first lowering error in point-major, seed-minor order.
 pub fn mean_pack_occupancy(configs: &[ExperimentConfig]) -> Result<f64> {
-    let mut lanes = 0usize;
-    let mut packs = 0usize;
-    // Walk the point-major lane list exactly as the planner does, but keep
-    // only the running shape of the open pack.
-    let mut open: Option<(ProtocolConfig, usize)> = None;
+    let mut lowered = Vec::new();
     for config in configs {
         for &seed in &config.seeds {
             let mut p = config.protocol_config(seed)?;
             p.observe = Observe::Summary;
-            lanes += 1;
-            open = Some(match open.take() {
-                Some((shape, width)) if width < BATCH_WIDTH && shape_compatible(&shape, &p) => {
-                    (shape, width + 1)
-                }
-                Some(_) => {
-                    packs += 1;
-                    (p, 1)
-                }
-                None => (p, 1),
-            });
+            lowered.push(p);
         }
     }
-    if open.is_some() {
-        packs += 1;
-    }
-    if lanes == 0 {
+    if lowered.is_empty() {
         return Ok(1.0);
     }
-    Ok(lanes as f64 / (packs * BATCH_WIDTH) as f64)
+    let packs = plan_packs(&lowered, |p| p).len();
+    Ok(lowered.len() as f64 / (packs * BATCH_WIDTH) as f64)
 }
 
 /// Splits the point-major lane list into contiguous packs of up to
-/// [`BATCH_WIDTH`] shape-compatible lanes. Compatibility is an
-/// equivalence (field equality), so comparing against the pack's first
-/// lane suffices.
-fn plan_packs(lanes: &[PackedLane]) -> Vec<std::ops::Range<usize>> {
+/// [`BATCH_WIDTH`] shape-compatible lanes, reading each lane's
+/// configuration through `config`. Compatibility is an equivalence (field
+/// equality), so comparing against the pack's first lane suffices.
+fn plan_packs<T>(
+    lanes: &[T],
+    config: impl Fn(&T) -> &ProtocolConfig,
+) -> Vec<std::ops::Range<usize>> {
     let mut packs = Vec::new();
     let mut start = 0;
     for i in 0..lanes.len() {
         if i - start == BATCH_WIDTH
-            || (i > start && !shape_compatible(&lanes[start].config, &lanes[i].config))
+            || (i > start && !shape_compatible(config(&lanes[start]), config(&lanes[i])))
         {
             packs.push(start..i);
             start = i;
@@ -457,7 +444,7 @@ where
             Err(e) => lowered.push(Some(e)),
         }
     }
-    let packs = plan_packs(&lanes);
+    let packs = plan_packs(&lanes, |lane| &lane.config);
     let pack_runs: Vec<Vec<Result<RunSummary>>> = packs
         .into_par_iter()
         .map(|range| {

@@ -173,8 +173,8 @@ fn steady_state_rounds_allocate_nothing_under_observe_summary() {
 }
 
 /// The batch-engine analogue of [`run_counting`]: four lanes of `n`
-/// processes advance in lockstep over one network realization shared across the batch (the
-/// fast path on the clean complete graph, the general path otherwise).
+/// processes advance in lockstep, exchanging through shared network
+/// realizations (one per lane seed where the topology realizes per seed).
 /// Returns the allocation delta of the measured run and every lane's
 /// executed round count.
 fn run_batch_counting(
@@ -221,15 +221,15 @@ fn run_batch_counting(
 
 #[test]
 fn general_path_batch_rounds_allocate_nothing_under_observe_summary() {
-    // The batch engine's row assembly on every shared path — the fast
-    // path's full rows on the complete graph, the masked static exchange
+    // The batch engine's row assembly on every shared path — the full
+    // rows of the complete graph, the masked static exchange
     // over a ring, churned dynamic realizations redrawn every round, and
     // lossy, delayed links whose arrivals join the rows as extras — with
     // four lanes in lockstep against one shared network realization. The
     // split attack keeps two faulty senders with per-receiver outboxes in
-    // every round, so the per-row extras are exercised too. The last case
-    // churns a ring over 80 processes, so every mask row spans two words.
-    // Same
+    // every round, so the per-row extras are exercised too. Two cases
+    // churn a base over 80 processes, so every mask row spans two words;
+    // the random-regular cases realize one graph per lane seed. Same
     // differential design as the scalar test: both runs share identical
     // setup, so the 20 extra steady-state rounds of the long run must not
     // have allocated at all.
@@ -279,6 +279,20 @@ fn general_path_batch_rounds_allocate_nothing_under_observe_summary() {
             Topology::Complete,
             Some(churn(Topology::Ring { k: 6 })),
             LinkFaultPlan::new().omit_all(0.05),
+        ),
+        (
+            "random regular",
+            16,
+            Topology::RandomRegular { degree: 8 },
+            None,
+            LinkFaultPlan::new(),
+        ),
+        (
+            "churned random regular over two mask words",
+            80,
+            Topology::Complete,
+            Some(churn(Topology::RandomRegular { degree: 8 })),
+            LinkFaultPlan::new(),
         ),
     ] {
         let (allocs_short, rounds_short) = run_batch_counting(

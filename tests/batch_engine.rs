@@ -11,6 +11,7 @@
 //! identical across observability levels.
 
 use mbaa::core::PackedLane;
+use mbaa::net::SharedRealization;
 use mbaa::prelude::*;
 use mbaa::{BatchEngine, MobileEngine, MobileRunOutcome, Observe, ProtocolConfig};
 
@@ -309,13 +310,18 @@ struct NetworkDescription {
     disconnection: DisconnectionPolicy,
 }
 
-fn generated_network(g: &mut Gen, n: usize, fast: bool) -> NetworkDescription {
-    let clean = NetworkDescription {
+/// The clean complete network.
+fn clean_network() -> NetworkDescription {
+    NetworkDescription {
         topology: Topology::Complete,
         schedule: None,
         link_faults: LinkFaultPlan::new(),
         disconnection: DisconnectionPolicy::Record,
-    };
+    }
+}
+
+fn generated_network(g: &mut Gen, n: usize, fast: bool) -> NetworkDescription {
+    let clean = clean_network();
     if fast {
         return clean;
     }
@@ -342,24 +348,69 @@ fn generated_network(g: &mut Gen, n: usize, fast: bool) -> NetworkDescription {
         _ => {}
     }
     if net.topology == Topology::Complete && net.schedule.is_none() || g.chance(35) {
-        let mut plan = LinkFaultPlan::new();
-        if g.chance(60) {
-            plan = plan.omit_all(g.pick(&[0.02, 0.1, 0.3]));
+        net.link_faults = generated_link_faults(g, n);
+    }
+    if g.chance(30) {
+        net.disconnection = DisconnectionPolicy::Reject;
+    }
+    net
+}
+
+/// A generated link-fault plan: lossy links, cuts and delayed links.
+fn generated_link_faults(g: &mut Gen, n: usize) -> LinkFaultPlan {
+    let mut plan = LinkFaultPlan::new();
+    if g.chance(60) {
+        plan = plan.omit_all(g.pick(&[0.02, 0.1, 0.3]));
+    }
+    for _ in 0..g.range(0, 2) {
+        let (a, b) = (g.range(0, n - 1), g.range(0, n - 1));
+        if a != b {
+            plan = match g.range(0, 2) {
+                0 => plan.cut(a, b),
+                1 => plan.omit(a, b, 0.5),
+                _ => plan.delay(a, b, g.range(1, 3)),
+            };
         }
-        for _ in 0..g.range(0, 2) {
-            let (a, b) = (g.range(0, n - 1), g.range(0, n - 1));
-            if a != b {
-                plan = match g.range(0, 2) {
-                    0 => plan.cut(a, b),
-                    1 => plan.omit(a, b, 0.5),
-                    _ => plan.delay(a, b, g.range(1, 3)),
-                };
-            }
+    }
+    if g.chance(15) {
+        plan = plan.delay_all(1);
+    }
+    plan
+}
+
+/// A generated network that realizes a random-regular graph per seed: as
+/// the static graph, as one phase of a periodic schedule, or as a churn
+/// base — clean about half the time, otherwise under generated link
+/// faults.
+fn generated_random_regular(g: &mut Gen, n: usize) -> NetworkDescription {
+    // A feasible degree: below n, with n · degree even.
+    let degree = g.range(2, n - 1);
+    let degree = if n * degree % 2 == 1 {
+        degree - 1
+    } else {
+        degree
+    };
+    let random = Topology::RandomRegular { degree };
+    let mut net = clean_network();
+    match g.range(0, 2) {
+        0 => net.topology = random,
+        1 => {
+            let other = Topology::Ring {
+                k: g.range(1, n / 2),
+            };
+            net.schedule = Some(TopologySchedule::Periodic {
+                phases: vec![random, other],
+            });
         }
-        if g.chance(15) {
-            plan = plan.delay_all(1);
+        _ => {
+            net.schedule = Some(TopologySchedule::SeededChurn {
+                base: random,
+                flip_rate: g.pick(&[0.0, 0.05, 0.2]),
+            });
         }
-        net.link_faults = plan;
+    }
+    if g.chance(50) {
+        net.link_faults = generated_link_faults(g, n);
     }
     if g.chance(30) {
         net.disconnection = DisconnectionPolicy::Reject;
@@ -385,18 +436,25 @@ fn generated_packs_match_the_scalar_engine_bit_for_bit() {
     // network descriptions (and per-lane ε, budget, mobility, corruption,
     // seed), and inputs full of ties, signed zeros and repeated extremes.
     // Then 16 smaller packs at n in [63, 130], where every sender mask
-    // spans more than one 64-bit word. Every lane of every pack must equal
-    // its own scalar `MobileEngine` run bit for bit — outcome or error.
+    // spans more than one 64-bit word. Then 24 packs at n in [9, 70] whose
+    // lanes realize a random-regular graph per seed (static, a periodic
+    // phase, or a churn base), half of them also drawing lanes from the
+    // clean complete network. Every lane of every pack must equal its own
+    // scalar `MobileEngine` run bit for bit — outcome or error.
     const SMALL_PACKS: usize = 140;
     const WIDE_PACKS: usize = 16;
+    const RANDOM_PACKS: usize = 24;
     let mut g = Gen(0x5EED_BA7C);
     let corruptions = CorruptionStrategy::all_representative();
     let (mut fast_packs, mut general_packs, mut lanes, mut errors, mut rounds) = (0, 0, 0, 0, 0);
-    let mut wide_lanes = 0;
-    for pack_index in 0..SMALL_PACKS + WIDE_PACKS {
-        let wide = pack_index >= SMALL_PACKS;
+    let (mut wide_lanes, mut random_lanes, mut mixed_complete_packs) = (0, 0, 0);
+    for pack_index in 0..SMALL_PACKS + WIDE_PACKS + RANDOM_PACKS {
+        let random = pack_index >= SMALL_PACKS + WIDE_PACKS;
+        let wide = pack_index >= SMALL_PACKS && !random;
         let model = g.pick(&MobileModel::ALL);
-        let n = if wide {
+        let n = if random {
+            g.range(9, 70)
+        } else if wide {
             g.range(63, 130)
         } else {
             g.range(5, 40)
@@ -405,11 +463,27 @@ fn generated_packs_match_the_scalar_engine_bit_for_bit() {
             .take_while(|&f| model.required_processes(f) <= n)
             .last();
         let f = g.range(1, max_f.unwrap_or(1));
-        let fast = g.chance(25);
-        let descriptions: Vec<NetworkDescription> = (0..g.range(1, 3))
-            .map(|_| generated_network(&mut g, n, fast))
-            .collect();
-        let width = if wide { g.range(2, 4) } else { g.range(2, 12) };
+        let descriptions: Vec<NetworkDescription> = if random {
+            let mut descriptions = vec![generated_random_regular(&mut g, n)];
+            if pack_index % 2 == 0 {
+                descriptions.push(clean_network());
+            } else if g.chance(50) {
+                descriptions.push(generated_network(&mut g, n, false));
+            }
+            descriptions
+        } else {
+            let fast = g.chance(25);
+            (0..g.range(1, 3))
+                .map(|_| generated_network(&mut g, n, fast))
+                .collect()
+        };
+        let width = if wide {
+            g.range(2, 4)
+        } else if random {
+            g.range(2, 8)
+        } else {
+            g.range(2, 12)
+        };
         let mut pack = Vec::new();
         for _ in 0..2 * width {
             if pack.len() == width {
@@ -418,7 +492,7 @@ fn generated_packs_match_the_scalar_engine_bit_for_bit() {
             let net = g.pick(&descriptions);
             let mut builder = ProtocolConfig::builder(model, n, f)
                 .epsilon(g.pick(&[1e-2, 1e-4, 1e-6]))
-                .max_rounds(g.range(1, if wide { 25 } else { 60 }))
+                .max_rounds(g.range(1, if wide || random { 25 } else { 60 }))
                 .mobility(g.pick(&MobilityStrategy::ALL))
                 .corruption(g.pick(&corruptions))
                 .link_faults(net.link_faults.clone())
@@ -442,14 +516,16 @@ fn generated_packs_match_the_scalar_engine_bit_for_bit() {
         if pack.len() < 2 {
             continue;
         }
-        if pack.iter().all(|lane| {
+        let clean_complete = |lane: &PackedLane| {
             lane.config.schedule.is_none()
                 && lane.config.link_faults.is_clean()
                 && lane.config.topology == Topology::Complete
-        }) {
+        };
+        if pack.iter().all(clean_complete) {
             fast_packs += 1;
         } else {
             general_packs += 1;
+            mixed_complete_packs += usize::from(pack.iter().any(clean_complete));
         }
         let results = BatchEngine::run_packed(&pack);
         assert_eq!(results.len(), pack.len());
@@ -467,6 +543,10 @@ fn generated_packs_match_the_scalar_engine_bit_for_bit() {
             );
             lanes += 1;
             wide_lanes += usize::from(wide);
+            random_lanes += usize::from(SharedRealization::realizes_per_seed(
+                &lane.config.topology,
+                lane.config.schedule.as_ref(),
+            ));
             errors += usize::from(result.is_err());
             rounds += result.as_ref().map_or(0, |outcome| outcome.rounds_executed);
         }
@@ -479,6 +559,14 @@ fn generated_packs_match_the_scalar_engine_bit_for_bit() {
     );
     assert!(lanes >= 800, "only {lanes} lanes");
     assert!(wide_lanes >= 30, "only {wide_lanes} lanes at n > 62");
+    assert!(
+        random_lanes >= 40,
+        "only {random_lanes} random-regular lanes"
+    );
+    assert!(
+        mixed_complete_packs >= 10,
+        "only {mixed_complete_packs} packs mix clean complete lanes with another network"
+    );
     assert!(rounds >= 8000, "only {rounds} lane-rounds");
     assert!(errors >= 1, "no lane exercised a run error");
 }
